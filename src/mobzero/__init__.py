@@ -69,6 +69,7 @@ from .series import (
     random_series,
     scalar_mul,
     star,
+    star_by_powers,
     zeta_transform_left,
     zeta_transform_right,
 )

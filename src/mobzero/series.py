@@ -28,6 +28,7 @@ class Ring:
     """Commutative ring with unit, operating on raw coefficient values."""
 
     name = "ring"
+    value_type = object
     zero = None
     one = None
 
@@ -39,9 +40,6 @@ class Ring:
 
     def mul(self, a, b):
         raise NotImplementedError
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
 
     def from_int(self, n: int):
         raise NotImplementedError
@@ -67,6 +65,7 @@ class Ring:
 
 class IntegerRing(Ring):
     name = "integers"
+    value_type = int
     zero = 0
     one = 1
     add = staticmethod(operator.add)
@@ -85,6 +84,7 @@ class IntegerRing(Ring):
 
 class RationalRing(Ring):
     name = "rationals"
+    value_type = Fraction
     zero = Fraction(0)
     one = Fraction(1)
     add = staticmethod(operator.add)
@@ -103,6 +103,8 @@ class RationalRing(Ring):
 
 class IntegerModRing(Ring):
     """Integers modulo m, stored as canonical residues 0..m-1."""
+
+    value_type = int
 
     def __init__(self, modulus: int):
         if modulus < 2:
@@ -148,8 +150,10 @@ class Series:
 
     def __init__(self, monoid: ZeroMonoid, truncation: int, terms=None,
                  ring: Ring = INTEGERS, _normalized: bool = False):
-        if truncation < 0:
-            raise ValueError(f"truncation must be nonnegative, got {truncation}")
+        if (not isinstance(truncation, int) or isinstance(truncation, bool)
+                or truncation < 0):
+            raise ValueError(
+                f"truncation must be a nonnegative integer, got {truncation!r}")
         self.monoid = monoid
         self.ring = ring
         self.truncation = truncation
@@ -321,10 +325,14 @@ def add(f: Series, g: Series) -> Series:
 
 
 def scalar_mul(alpha, f: Series) -> Series:
-    """Left scalar multiple; plain ints are coerced into the ring."""
+    """Left scalar multiple; plain ints are coerced into the ring, and any
+    other scalar must already be a value of the ring."""
     ring = f.ring
-    if isinstance(alpha, int) and not isinstance(ring, IntegerRing):
+    if isinstance(alpha, int):
         alpha = ring.from_int(alpha)
+    elif not isinstance(alpha, ring.value_type):
+        raise TypeError(
+            f"scalar {alpha!r} is not an int or a value of {ring!r}")
     terms = {}
     for w, c in f.terms.items():
         v = ring.mul(alpha, c)
@@ -415,20 +423,76 @@ def coefficient(f: Series, word: Word):
     return f.coefficient(word)
 
 
-def star(f: Series, return_power_count: bool = False):
-    """Sum of all powers of a proper series: the inverse of (1 - f).
-
-    Each power raises the minimal support order, so powers beyond the
-    truncation vanish and the sum is finite and exact.  The loop stops as
-    soon as a power vanishes outright, which happens for every proper
-    series over a finite monoid (nilpotency).  With ``return_power_count``
-    the number of nonzero powers summed (including the zeroth) is returned
-    alongside the series.
-    """
+def _require_proper(f: Series):
     if not f.is_proper():
         raise ProperError(
             f"star requires a proper series; coefficient at the identity "
             f"is {f.ring.render(f.augmentation())}")
+
+
+def star(f: Series, return_power_count: bool = False):
+    """Inverse of (1 - f) for a proper series f, solved grade by grade.
+
+    The star s satisfies s = 1 + s*f.  When the order is superadditive
+    (ord(xy) >= ord(x) + ord(y)) and f is proper, every term of f has
+    order at least 1, so each product x*y with x in grade i of s lands in
+    a grade strictly above i.  One pass over grades 0..N therefore
+    suffices: when the pass reaches grade i, every contribution to it has
+    arrived, so the grade is final; its terms are then multiplied against
+    the terms of f of order at most N - i and each product is added into
+    the grade where it lands.  The cost is about sum_i |s_i| * |f_{<=N-i}|
+    pairs, which is small when s is sparse, as Mobius series are.
+
+    With ``return_power_count`` the result comes from
+    :func:`star_by_powers` instead, together with its power count.
+    """
+    if return_power_count:
+        return star_by_powers(f)
+    _require_proper(f)
+    m = f.monoid
+    ring = f.ring
+    cap = f.truncation
+    mul, order = m._mul, m._order
+    radd, rmul, rzero = ring.add, ring.mul, ring.zero
+    f_by_order = {}
+    for w, c in f.terms.items():
+        f_by_order.setdefault(order(w), []).append((w, c))
+    f_orders = sorted(f_by_order)
+    pending = [{} for _ in range(cap + 1)]
+    pending[0][m.identity()] = ring.one
+    terms = {}
+    for i in range(cap + 1):
+        grade = [(x, a) for x, a in pending[i].items() if a != rzero]
+        pending[i] = None
+        terms.update(grade)
+        for j in f_orders:
+            if i + j > cap:
+                break
+            for y, b in f_by_order[j]:
+                for x, a in grade:
+                    z = mul(x, y)
+                    if z is ZERO:
+                        continue
+                    oz = order(z)
+                    if oz > cap:
+                        continue
+                    acc = pending[oz]
+                    prev = acc.get(z)
+                    acc[z] = rmul(a, b) if prev is None else radd(prev, rmul(a, b))
+    return Series(m, cap, terms, ring, _normalized=True)
+
+
+def star_by_powers(f: Series):
+    """Star as the sum of all powers of a proper series, with the number of
+    nonzero powers summed (including the zeroth).
+
+    This is the independent oracle for :func:`star`.  Each power raises
+    the minimal support order, so powers beyond the truncation vanish and
+    the sum is finite and exact.  The loop stops as soon as a power
+    vanishes outright, which happens for every proper series over a finite
+    monoid (nilpotency).  It costs up to N full Cauchy products.
+    """
+    _require_proper(f)
     ring = f.ring
     total = Series.one(f.monoid, f.truncation, ring)
     p = total
@@ -439,9 +503,7 @@ def star(f: Series, return_power_count: bool = False):
             break
         total = add(total, p)
         count += 1
-    if return_power_count:
-        return total, count
-    return total
+    return total, count
 
 
 def characteristic_series(m: ZeroMonoid, truncation: int = DEFAULT_TRUNCATION,

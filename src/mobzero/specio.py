@@ -13,7 +13,8 @@ ideal       {"kind": "repeated-letter"}
             {"kind": "ev-preimage", "inner": {...}}
 series      {"truncation": 8, "terms": [["1", []], ["-1", ["a"]]]}
 
-Series coefficients travel as decimal strings so arbitrary-precision
+Series coefficients travel as decimal strings (ASCII digits with an
+optional leading minus sign, nothing else) so arbitrary-precision
 integers survive any JSON implementation.  Words travel as letter-name
 lists; for commutative monoids the list is the sorted letter multiset.
 Parsers raise :class:`SpecError` on malformed descriptions and
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 
 from .errors import SpecError
 from .ideals import (
@@ -43,6 +45,8 @@ from .monoid import (
     ZeroMonoid,
 )
 from .series import INTEGERS, Ring, Series
+
+_DECIMAL = re.compile(r"-?[0-9]+")
 
 
 def read_json_source(source: str) -> dict:
@@ -162,12 +166,13 @@ def parse_series(obj: dict, monoid: ZeroMonoid, ring: Ring = INTEGERS,
             raise SpecError(f"each term must be [coefficient, letters], "
                             f"got {entry!r}")
         coeff_text, letters = entry
+        if not (isinstance(coeff_text, str) and _DECIMAL.fullmatch(coeff_text)):
+            raise SpecError(
+                f"coefficient must be a decimal string, got {coeff_text!r}")
         try:
             coeff = ring.from_int(int(coeff_text))
-        except (TypeError, ValueError):
-            raise SpecError(
-                f"coefficient must be a decimal string, got {coeff_text!r}"
-            ) from None
+        except ValueError as exc:  # beyond the interpreter's digit limit
+            raise SpecError(f"coefficient is too long: {exc}") from None
         word = monoid.word_from_letters(letters)
         monoid._require(word)
         if monoid._order(word) > truncation:

@@ -1,10 +1,14 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mobzero import (
     INTEGERS,
+    FreeCommutativeMonoid,
+    FreeMonoid,
     IntegerModRing,
     MembershipError,
     MinLengthIdeal,
@@ -31,11 +35,13 @@ from mobzero import (
     random_series,
     scalar_mul,
     star,
+    star_by_powers,
     zeta_transform_left,
     zeta_transform_right,
 )
 
 from helpers import (
+    alphabet,
     builtin_monoids,
     commutative,
     free,
@@ -70,6 +76,12 @@ def test_construction_validates_membership():
 def test_construction_rejects_negative_truncation():
     with pytest.raises(ValueError):
         Series(free(1), -1, {})
+
+
+@pytest.mark.parametrize("truncation", [2.5, 2.0, "3", Fraction(2), True])
+def test_construction_rejects_non_int_truncation(truncation):
+    with pytest.raises(ValueError):
+        Series(free(1), truncation, {})
 
 
 def test_equality_is_strict():
@@ -144,6 +156,34 @@ def test_add_rejects_mixed_carriers():
 def test_scalar_mul_by_zero():
     m = free(2)
     assert scalar_mul(0, S(m, 3, [(4, "ab")])).is_zero()
+
+
+def test_scalar_mul_rejects_float_on_integer_series():
+    with pytest.raises(TypeError):
+        Series.one(free(2), 3) * 0.5
+    with pytest.raises(TypeError):
+        scalar_mul(2.0, Series.one(free(2), 3))
+
+
+def test_scalar_mul_rejects_fraction_on_integer_series():
+    with pytest.raises(TypeError):
+        Series.one(free(2), 3) * Fraction(1, 2)
+    with pytest.raises(TypeError):
+        Fraction(2) * Series.one(free(2), 3)
+
+
+def test_scalar_mul_rejects_fraction_on_mod_series():
+    with pytest.raises(TypeError):
+        scalar_mul(Fraction(1, 2), Series.one(free(2), 3, IntegerModRing(7)))
+
+
+def test_scalar_mul_keeps_ring_values():
+    m = free(2)
+    half = scalar_mul(Fraction(1, 2), Series.one(m, 3, RATIONALS))
+    assert half.terms == {(): Fraction(1, 2)}
+    third = scalar_mul(3, Series.one(m, 3, RATIONALS))
+    assert type(third.terms[()]) is Fraction
+    assert scalar_mul(-1, Series.one(m, 3, IntegerModRing(7))).terms == {(): 6}
 
 
 # -- cauchy product ---------------------------------------------------------
@@ -270,6 +310,53 @@ def test_star_inverts_one_minus_f():
             assert fs.augmentation() == 1
             assert cauchy_product(one - f, fs) == one
             assert cauchy_product(fs, one - f) == one
+
+
+RINGS = (INTEGERS, RATIONALS, IntegerModRing(7))
+
+
+@pytest.mark.parametrize("k, truncation", [(1, 8), (2, 8), (3, 8), (4, 6)])
+def test_star_matches_power_sum(k, truncation):
+    rng = random.Random(100 + k)
+    for m in builtin_monoids(k):
+        for ring in RINGS:
+            for _ in range(4):
+                f = random_series(rng, m, truncation, proper=True, ring=ring)
+                assert star(f) == star_by_powers(f)[0], m.describe()
+            neg_zeta = -proper_part(characteristic_series(m, truncation, ring))
+            assert star(neg_zeta) == star_by_powers(neg_zeta)[0], m.describe()
+
+
+def test_star_with_power_count_is_the_power_sum():
+    m = free(2)
+    f = S(m, 5, [(1, "a"), (-2, "ab")])
+    assert star(f, return_power_count=True) == star_by_powers(f)
+
+
+@st.composite
+def proper_series(draw):
+    k = draw(st.integers(1, 2))
+    kind = draw(st.sampled_from([FreeMonoid, FreeCommutativeMonoid]))
+    m = kind(alphabet(k))
+    truncation = draw(st.integers(0, 5))
+    ring = draw(st.sampled_from(RINGS))
+    pool = [x for n in range(1, truncation + 1) for x in m.elements_of_order(n)]
+    chosen = draw(st.lists(st.sampled_from(pool), max_size=6, unique=True)
+                  if pool else st.just([]))
+    terms = {x: ring.from_int(draw(st.integers(-3, 3))) for x in chosen}
+    return Series(m, truncation, terms, ring)
+
+
+@settings(max_examples=150, deadline=None)
+@given(proper_series())
+def test_star_matches_power_sum_property(f):
+    assert star(f) == star_by_powers(f)[0]
+
+
+@pytest.mark.parametrize("m", [free(4), commutative(4)],
+                         ids=["free4", "commutative4"])
+def test_mobius_matches_triangular_solve_four_letters(m):
+    assert mobius_series(m, 8) == mobius_by_triangular_solve(m, 8)
 
 
 # -- characteristic and mobius series ---------------------------------------
@@ -415,8 +502,6 @@ def test_series_mod_two_freshman_dream():
 
 
 def test_rational_coefficients():
-    from fractions import Fraction
-
     m = free(1)
     half = Series(m, 3, {(0,): Fraction(1, 2)}, RATIONALS)
     assert cauchy_product(half, half).terms == {(0, 0): Fraction(1, 4)}

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -173,6 +174,28 @@ def test_parse_series_rejects_bad_terms():
     with pytest.raises(MembershipError):
         # aa collapses to zero in standard words
         parse_series({"truncation": 3, "terms": [["1", ["a", "a"]]]}, m)
+
+
+@pytest.mark.parametrize("coeff", [2.7, True, " 7 ", "1_000", "\u0667"],
+                         ids=["json-number", "true", "padded", "underscore",
+                              "non-ascii-digit"])
+def test_parse_series_rejects_non_decimal_coefficient(coeff):
+    with pytest.raises(SpecError):
+        parse_series({"truncation": 2, "terms": [[coeff, ["a"]]]}, free(1))
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="interpreter has no integer digit limit")
+def test_parse_series_rejects_coefficient_beyond_digit_limit():
+    digits = "1" * (sys.get_int_max_str_digits() + 1)
+    with pytest.raises(SpecError):
+        parse_series({"truncation": 2, "terms": [[digits, ["a"]]]}, free(1))
+
+
+def test_parse_series_accepts_signed_decimal():
+    f = parse_series({"truncation": 2,
+                      "terms": [["-12", ["a"]], ["007", ["a", "a"]]]}, free(1))
+    assert f.terms == {(0,): -12, (0, 0): 7}
 
 
 def test_parse_series_truncation_must_match_request():
