@@ -53,12 +53,10 @@ from .series import (
     Ring,
     Series,
     add,
-    augmentation,
     cauchy_product,
     characteristic_series,
     check_oracle_equivalence,
     check_unit_inverse,
-    coefficient,
     convolve_oracle,
     first_difference,
     mobius_invert_left,
@@ -77,7 +75,6 @@ from .quotient_maps import (
     QuotientContext,
     check_lemma_inverse_via_section,
     check_mobius_transfer,
-    ev,
     phi,
     section,
 )

@@ -39,11 +39,14 @@ class HilbertPrefix:
 
 
 def hilbert_prefix(m: ZeroMonoid, terms: int) -> HilbertPrefix:
-    """Count nonzero elements of each order from 0 up to ``terms``."""
+    """Count nonzero elements of each order from 0 up to ``terms``, in
+    one walk over them."""
     if terms < 0:
         raise ValueError(f"terms must be nonnegative, got {terms}")
-    counts = tuple(sum(1 for _ in m.iter_order(n)) for n in range(terms + 1))
-    return HilbertPrefix(counts)
+    counts = [0] * (terms + 1)
+    for n, _ in m.walk(terms):
+        counts[n] += 1
+    return HilbertPrefix(tuple(counts))
 
 
 def check_hilbert_relation(ctx: QuotientContext, terms: int) -> Report:

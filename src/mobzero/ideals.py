@@ -43,6 +43,17 @@ class IdealSpec(ABC):
     def contains(self, word: Word) -> bool:
         raise NotImplementedError
 
+    def contains_extension(self, word: Word) -> bool:
+        """``contains(word)`` for a word in ``base.extend(parent)``, where
+        ``parent`` is already known to lie outside the ideal.
+
+        Every factor of the word that is also a factor of the parent is
+        outside the ideal, so an override need only check the factors
+        that the last step created.  For sequence words the parent is
+        ``word[:-1]``.
+        """
+        return self.contains(word)
+
     def describe(self) -> str:
         return f"{self.kind} ideal"
 
@@ -77,6 +88,9 @@ class RepeatedLetterIdeal(IdealSpec):
 
     def contains(self, word: Word) -> bool:
         return len(set(word)) < len(word)
+
+    def contains_extension(self, word: Word) -> bool:
+        return word[-1] in word[:-1]
 
 
 class MinLengthIdeal(IdealSpec):
@@ -127,6 +141,14 @@ class GeneratedIdeal(IdealSpec):
             if k == 0:
                 return True
             if any(word[i:i + k] == g for i in range(len(word) - k + 1)):
+                return True
+        return False
+
+    def contains_extension(self, word: Word) -> bool:
+        # a factor not ending at the last letter is a factor of the parent
+        n = len(word)
+        for g in self.generators:
+            if word[n - len(g):] == g:
                 return True
         return False
 

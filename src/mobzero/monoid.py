@@ -128,6 +128,11 @@ class Report:
         return f"FAIL {self.check}: {self.violations[0]}"
 
 
+def _require_alphabet(alphabet):
+    if not isinstance(alphabet, Alphabet):
+        raise SpecError(f"expected an Alphabet, got {alphabet!r}")
+
+
 def commutative_image(word: Word, size: int) -> Word:
     """Letter-multiplicity vector of a sequence word."""
     counts = [0] * size
@@ -192,6 +197,29 @@ class ZeroMonoid(ABC):
         raise InfiniteGradeError(
             f"{self.describe()} cannot enumerate elements of order {n}")
 
+    def extend(self, word: Word) -> list:
+        """The elements one order above ``word`` that are reached from it.
+
+        Every element of order n + 1 is reached from exactly one element
+        of order n, and that element divides it, so a depth-first walk
+        from the identity meets each element once and, when it visits
+        the extensions in the listed order, meets each grade in the order
+        of ``iter_order``.  Sequence words are extended by appending one
+        letter; :meth:`IdealSpec.contains_extension` relies on that.
+        """
+        raise InfiniteGradeError(
+            f"{self.describe()} cannot extend its elements")
+
+    def walk(self, top: int) -> Iterator[tuple]:
+        """Yield ``(order, word)`` once for every nonzero element of order
+        at most ``top``; nothing when ``top`` is negative.
+
+        Grade after grade here; a subclass may yield in another order.
+        """
+        for n in range(top + 1):
+            for word in self.iter_order(n):
+                yield n, word
+
     def elements_of_order(self, n: int) -> list:
         """All nonzero elements of order n, sorted by display order."""
         if n < 0:
@@ -238,6 +266,7 @@ class FreeMonoid(ZeroMonoid):
     word_kind = "sequence"
 
     def __init__(self, alphabet: Alphabet):
+        _require_alphabet(alphabet)
         self._alphabet = alphabet
         self._size = len(alphabet)
 
@@ -259,6 +288,9 @@ class FreeMonoid(ZeroMonoid):
 
     def iter_order(self, n: int) -> Iterator[Word]:
         return itertools.product(range(self._size), repeat=n)
+
+    def extend(self, word):
+        return [word + (i,) for i in range(self._size)]
 
     def _splits(self, x):
         return [(x[:i], x[i:]) for i in range(len(x) + 1)]
@@ -282,6 +314,7 @@ class FreeCommutativeMonoid(ZeroMonoid):
     word_kind = "vector"
 
     def __init__(self, alphabet: Alphabet):
+        _require_alphabet(alphabet)
         self._alphabet = alphabet
         self._size = len(alphabet)
 
@@ -306,6 +339,15 @@ class FreeCommutativeMonoid(ZeroMonoid):
         # generated in display order
         for combo in itertools.combinations_with_replacement(range(self._size), n):
             yield commutative_image(combo, self._size)
+
+    def extend(self, word):
+        # raise one coordinate at or after the last nonzero one: appending
+        # a letter to a nondecreasing index sequence keeps it nondecreasing
+        last = self._size - 1
+        while last and not word[last]:
+            last -= 1
+        return [word[:i] + (word[i] + 1,) + word[i + 1:]
+                for i in range(last, self._size)]
 
     def _splits(self, x):
         pairs = []
@@ -365,6 +407,9 @@ class AdjoinedZero(ZeroMonoid):
     def iter_order(self, n):
         return self.base.iter_order(n)
 
+    def extend(self, word):
+        return self.base.extend(word)
+
     def _splits(self, x):
         return self.base._splits(x)
 
@@ -393,6 +438,12 @@ class ReesQuotient(ZeroMonoid):
     Elements are the base words outside the ideal; a product falls to
     ``ZERO`` exactly when the base product lands in the ideal.  The order
     function is inherited from the base.
+
+    The elements are closed under taking divisors, because the ideal is
+    two-sided.  So every element is an extension of an element one order
+    below, and grades are enumerated by a depth-first walk over the
+    base's extensions that stops at ideal members: only elements and
+    their immediate extensions are ever built.
     """
 
     def __init__(self, base: ZeroMonoid, ideal):
@@ -426,9 +477,30 @@ class ReesQuotient(ZeroMonoid):
         return self.base._order(word)
 
     def iter_order(self, n):
-        for word in self.base.iter_order(n):
-            if not self.ideal.contains(word):
-                yield word
+        return (word for order, word in self.walk(n) if order == n)
+
+    def extend(self, word):
+        inside = self.ideal.contains_extension
+        return [w for w in self.base.extend(word) if not inside(w)]
+
+    def walk(self, top):
+        """Depth first from the identity; holds one list of extensions
+        per order on the current path."""
+        if top < 0:
+            return
+        extend = self.extend
+        root = self.identity()
+        yield 0, root
+        path = [iter(extend(root))] if top else []
+        while path:
+            word = next(path[-1], None)
+            if word is None:
+                path.pop()
+                continue
+            order = len(path)
+            yield order, word
+            if order < top:
+                path.append(iter(extend(word)))
 
     def _splits(self, x):
         return [(y, z) for y, z in self.base._splits(x)

@@ -14,14 +14,7 @@ what the two check functions exercise.
 from __future__ import annotations
 
 from .errors import ContextMismatchError, ProperError, SpecError
-from .monoid import (
-    DEFAULT_TRUNCATION,
-    Report,
-    ReesQuotient,
-    Word,
-    ZeroMonoid,
-    commutative_image,
-)
+from .monoid import DEFAULT_TRUNCATION, Report, ReesQuotient, ZeroMonoid
 from .series import (
     INTEGERS,
     Ring,
@@ -95,11 +88,6 @@ def section(ctx: QuotientContext, f: Series) -> Series:
             f"got one over {f.monoid.describe()}")
     return Series(ctx.base, f.truncation, dict(f.terms), f.ring,
                   _normalized=True)
-
-
-def ev(word: Word, alphabet_size: int) -> Word:
-    """Letter-count image of a sequence word as an exponent vector."""
-    return commutative_image(word, alphabet_size)
 
 
 def check_lemma_inverse_via_section(ctx: QuotientContext, f: Series) -> Report:

@@ -142,8 +142,10 @@ class Series:
 
     ``terms`` maps canonical words to nonzero ring values; keys of order
     above the truncation are projected away on construction, which is the
-    quotient map onto the algebra modulo the order filtration.  Instances
-    are immutable by convention: no operation mutates its inputs.
+    quotient map onto the algebra modulo the order filtration.  Plain
+    ints are coerced into the ring; any other coefficient must already
+    be a value of the ring, and bools are rejected.  Instances are
+    immutable by convention: no operation mutates its inputs.
     """
 
     __slots__ = ("monoid", "ring", "truncation", "terms")
@@ -163,6 +165,12 @@ class Series:
         clean = {}
         for word, coeff in dict(terms or {}).items():
             monoid._require(word)
+            if isinstance(coeff, bool) or not isinstance(
+                    coeff, (int, ring.value_type)):
+                raise TypeError(
+                    f"coefficient {coeff!r} is not an int or a value of {ring!r}")
+            if isinstance(coeff, int):
+                coeff = ring.from_int(coeff)
             if coeff == ring.zero:
                 continue
             if monoid._order(word) > truncation:
@@ -412,15 +420,6 @@ def power(f: Series, k: int) -> Series:
         if result.is_zero():
             break
     return result
-
-
-def augmentation(f: Series):
-    """Coefficient at the identity; a ring morphism onto the coefficients."""
-    return f.augmentation()
-
-
-def coefficient(f: Series, word: Word):
-    return f.coefficient(word)
 
 
 def _require_proper(f: Series):

@@ -3,8 +3,10 @@
 The oracles here deliberately avoid the code paths they are used to
 check: the Mobius oracle inverts the characteristic series by a
 grade-by-grade linear solve over factorizations instead of the star
-route, and the falling-factorial counter predicts no-repeat word counts
-arithmetically instead of by enumeration.
+route, the falling-factorial counter predicts no-repeat word counts
+arithmetically instead of by enumeration, and the survivor filter lists
+a quotient's grade by testing every base word instead of extending the
+grade below.
 """
 
 from mobzero import (
@@ -92,6 +94,13 @@ def mobius_by_triangular_solve(m, truncation, ring=INTEGERS):
             if value != ring.zero:
                 mu[x] = value
     return Series(m, truncation, mu, ring)
+
+
+def survivors_by_filter(quotient, n):
+    """The base words of order n outside the quotient's ideal, in the
+    base's order: every base word is built and tested with ``contains``."""
+    contains = quotient.ideal.contains
+    return [w for w in quotient.base.iter_order(n) if not contains(w)]
 
 
 def falling_factorial(k, n):

@@ -23,11 +23,13 @@ from mobzero import (
 
 from helpers import (
     builtin_free_ideals,
+    builtin_monoids,
     commutative,
     falling_factorial,
     free,
     series_from_letterlists,
     standard_words,
+    survivors_by_filter,
 )
 
 
@@ -69,6 +71,18 @@ def test_identity_always_survives_proper_quotients():
         for ideal in builtin_free_ideals(base):
             m = ReesQuotient(base, ideal)
             assert hilbert_prefix(m, 0).counts == (1,)
+
+
+def test_prefix_matches_filtered_counts():
+    for k in (2, 3):
+        base = free(k)
+        quotients = [ReesQuotient(base, ideal)
+                     for ideal in builtin_free_ideals(base)]
+        quotients += [m for m in builtin_monoids(k)
+                      if isinstance(m, ReesQuotient)]
+        for m in quotients:
+            expected = tuple(len(survivors_by_filter(m, n)) for n in range(8))
+            assert hilbert_prefix(m, 7).counts == expected, m.describe()
 
 
 # -- complement relation ----------------------------------------------------

@@ -5,6 +5,8 @@ import pytest
 from mobzero import (
     AdjoinedZero,
     Alphabet,
+    FreeCommutativeMonoid,
+    FreeMonoid,
     GeneratedIdeal,
     InfiniteGradeError,
     MembershipError,
@@ -67,6 +69,13 @@ def test_zero_is_singleton():
 
 
 # -- free monoid ------------------------------------------------------------
+
+@pytest.mark.parametrize("cls", [FreeMonoid, FreeCommutativeMonoid])
+@pytest.mark.parametrize("letters", [["a", "b"], ("a",), "ab"])
+def test_free_constructors_require_an_alphabet(cls, letters):
+    with pytest.raises(SpecError):
+        cls(letters)
+
 
 def test_free_product_concatenates():
     m = free(2)

@@ -19,12 +19,10 @@ from mobzero import (
     Series,
     TruncationError,
     add,
-    augmentation,
     cauchy_product,
     characteristic_series,
     check_oracle_equivalence,
     check_unit_inverse,
-    coefficient,
     convolve_oracle,
     first_difference,
     mobius_invert_left,
@@ -84,6 +82,30 @@ def test_construction_rejects_non_int_truncation(truncation):
         Series(free(1), truncation, {})
 
 
+def test_construction_reduces_ints_into_the_ring():
+    m = free(2)
+    a, b = w(m, "a"), w(m, "b")
+    assert Series(m, 3, {a: 9, b: 7}, IntegerModRing(7)).terms == {a: 2}
+    half = Series(m, 3, {a: 3, b: Fraction(1, 2)}, RATIONALS)
+    assert half.terms == {a: Fraction(3), b: Fraction(1, 2)}
+    assert all(type(c) is Fraction for c in half.terms.values())
+
+
+@pytest.mark.parametrize("ring, coeff", [
+    (INTEGERS, True),
+    (INTEGERS, 0.5),
+    (INTEGERS, 2.0),
+    (INTEGERS, Fraction(1, 2)),
+    (INTEGERS, "3"),
+    (RATIONALS, False),
+    (RATIONALS, 0.5),
+    (IntegerModRing(7), Fraction(1, 2)),
+])
+def test_construction_rejects_foreign_coefficients(ring, coeff):
+    with pytest.raises(TypeError):
+        Series(free(1), 3, {(0,): coeff}, ring)
+
+
 def test_equality_is_strict():
     m = free(1)
     assert Series(m, 3, {(0,): 1}) == Series(m, 3, {(0,): 1})
@@ -97,10 +119,10 @@ def test_equality_is_strict():
 def test_coefficient_lookup():
     m = standard_words()
     zeta = characteristic_series(m, 4)
-    assert coefficient(zeta, w(m, "abc")) == 1
+    assert zeta.coefficient(w(m, "abc")) == 1
     mu = mobius_series(m, 4)
-    assert coefficient(mu, w(m, "ab")) == 0
-    assert coefficient(Series.zero(m, 4), w(m, "a")) == 0
+    assert mu.coefficient(w(m, "ab")) == 0
+    assert Series.zero(m, 4).coefficient(w(m, "a")) == 0
 
 
 def test_coefficient_beyond_truncation():
@@ -257,9 +279,9 @@ def test_check_oracle_equivalence_report():
 def test_augmentation_values():
     m = standard_words()
     zeta = characteristic_series(m, 4)
-    assert augmentation(zeta) == 1
-    assert augmentation(proper_part(zeta)) == 0
-    assert augmentation(Series.zero(m, 4)) == 0
+    assert zeta.augmentation() == 1
+    assert proper_part(zeta).augmentation() == 0
+    assert Series.zero(m, 4).augmentation() == 0
 
 
 def test_augmentation_is_multiplicative():
@@ -268,8 +290,8 @@ def test_augmentation_is_multiplicative():
     for _ in range(50):
         f = random_series(rng, m, 5)
         g = random_series(rng, m, 5)
-        assert augmentation(cauchy_product(f, g)) == \
-            augmentation(f) * augmentation(g)
+        assert cauchy_product(f, g).augmentation() == \
+            f.augmentation() * g.augmentation()
 
 
 # -- star -------------------------------------------------------------------
