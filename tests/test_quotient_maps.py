@@ -174,15 +174,15 @@ def test_section_checks_carrier():
         section(ctx, Series.one(ctx.base, 4))
 
 
-# -- letter counts ------------------------------------------------------------
+# -- ev: the letter-count map, computed by commutative_image ----------------
 
-def test_commutative_image_counts_letters():
+def test_ev_counts_letters():
     m = free(2)
     assert commutative_image(w(m, "aba"), 2) == (2, 1)
     assert commutative_image((), 2) == (0, 0)
 
 
-def test_commutative_image_is_a_morphism():
+def test_ev_is_a_morphism():
     rng = random.Random(43)
     cm = commutative(3)
     for _ in range(40):
