@@ -142,16 +142,14 @@ def _cmd_count(args) -> int:
     terms = args.order if args.terms is None else args.terms
     if terms < 0:
         raise ValueError(f"terms must be nonnegative, got {terms}")
+    grades = [sorted(grade, key=m.sort_key) for grade in m.grades(terms)]
     if args.format == "json":
-        orders = []
-        for n in range(terms + 1):
-            elements = m.elements_of_order(n)
-            orders.append({"order": n, "count": len(elements),
-                           "elements": [m.word_letters(w) for w in elements]})
+        orders = [{"order": n, "count": len(elements),
+                   "elements": [m.word_letters(w) for w in elements]}
+                  for n, elements in enumerate(grades)]
         print(json.dumps({"orders": orders}))
     else:
-        for n in range(terms + 1):
-            elements = m.elements_of_order(n)
+        for n, elements in enumerate(grades):
             shown = " ".join(m.render_word(w) for w in elements)
             print(f"{n}\t{len(elements)}\t{shown}")
     return 0

@@ -53,9 +53,9 @@ def check_hilbert_relation(ctx: QuotientContext, terms: int) -> Report:
     """Quotient count plus ideal count must equal the full alphabet power.
 
     Demands a free base so the total at degree n is k**n analytically;
-    the ideal side is enumerated by the membership predicate and the
-    quotient side by its own grade iterator, making three independent
-    routes per degree.
+    the ideal side is enumerated by the membership predicate over the
+    whole base grade and the quotient side by its own walk, making three
+    independent routes per degree.
     """
     if terms < 0:
         raise ValueError(f"terms must be nonnegative, got {terms}")
@@ -66,12 +66,10 @@ def check_hilbert_relation(ctx: QuotientContext, terms: int) -> Report:
     k = len(ctx.base.alphabet())
     contains = ctx.ideal.contains
     violations = []
-    quotient_counts = []
-    for n in range(terms + 1):
+    quotient_counts = list(hilbert_prefix(ctx.quotient, terms).counts)
+    for n, survive in enumerate(quotient_counts):
         total = k ** n
         in_ideal = sum(1 for w in ctx.base.iter_order(n) if contains(w))
-        survive = sum(1 for _ in ctx.quotient.iter_order(n))
-        quotient_counts.append(survive)
         if survive + in_ideal != total:
             violations.append(
                 f"degree {n}: {survive} survivors + {in_ideal} in the ideal "

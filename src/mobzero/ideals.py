@@ -108,6 +108,9 @@ class MinLengthIdeal(IdealSpec):
     def contains(self, word: Word) -> bool:
         return len(word) >= self.n
 
+    # the length test is as cheap as any incremental one
+    contains_extension = contains
+
     def describe(self) -> str:
         return f"min-length({self.n}) ideal"
 
@@ -178,6 +181,8 @@ class DegreeAtLeastIdeal(IdealSpec):
     def contains(self, word: Word) -> bool:
         return sum(word) >= self.d
 
+    contains_extension = contains
+
     def describe(self) -> str:
         return f"degree-at-least({self.d}) ideal"
 
@@ -232,7 +237,7 @@ def validate_ideal(spec: IdealSpec, max_order: int) -> Report:
     violations = []
     if spec.contains(base.identity()):
         violations.append("identity belongs to the ideal (not proper)")
-    grades = [list(base.iter_order(n)) for n in range(max_order + 1)]
+    grades = base.grades(max_order)
     members = [[w for w in grade if spec.contains(w)] for grade in grades]
     for i in range(max_order + 1):
         for u in members[i]:

@@ -220,6 +220,14 @@ class ZeroMonoid(ABC):
             for word in self.iter_order(n):
                 yield n, word
 
+    def grades(self, top: int) -> list:
+        """The nonzero elements of each order 0..top, one list per order,
+        each in the order of ``iter_order``, bucketed from one ``walk``."""
+        buckets = [[] for _ in range(top + 1)]
+        for n, word in self.walk(top):
+            buckets[n].append(word)
+        return buckets
+
     def elements_of_order(self, n: int) -> list:
         """All nonzero elements of order n, sorted by display order."""
         if n < 0:
@@ -269,6 +277,7 @@ class FreeMonoid(ZeroMonoid):
         _require_alphabet(alphabet)
         self._alphabet = alphabet
         self._size = len(alphabet)
+        self._letters = [(i,) for i in range(self._size)]
 
     def alphabet(self) -> Alphabet:
         return self._alphabet
@@ -290,7 +299,7 @@ class FreeMonoid(ZeroMonoid):
         return itertools.product(range(self._size), repeat=n)
 
     def extend(self, word):
-        return [word + (i,) for i in range(self._size)]
+        return list(map(word.__add__, self._letters))
 
     def _splits(self, x):
         return [(x[:i], x[i:]) for i in range(len(x) + 1)]
@@ -410,6 +419,9 @@ class AdjoinedZero(ZeroMonoid):
     def extend(self, word):
         return self.base.extend(word)
 
+    def walk(self, top):
+        return self.base.walk(top)
+
     def _splits(self, x):
         return self.base._splits(x)
 
@@ -484,23 +496,27 @@ class ReesQuotient(ZeroMonoid):
         return [w for w in self.base.extend(word) if not inside(w)]
 
     def walk(self, top):
-        """Depth first from the identity; holds one list of extensions
-        per order on the current path."""
+        """Depth first from the identity; holds one lazily filtered list
+        of the base's extensions per order on the current path.
+
+        Inlines :meth:`extend`, which stays for a quotient of this one."""
         if top < 0:
             return
-        extend = self.extend
+        base_extend = self.base.extend
+        inside = self.ideal.contains_extension
+        survivors = itertools.filterfalse
         root = self.identity()
         yield 0, root
-        path = [iter(extend(root))] if top else []
+        path = [survivors(inside, base_extend(root))] if top else []
         while path:
-            word = next(path[-1], None)
-            if word is None:
-                path.pop()
-                continue
             order = len(path)
-            yield order, word
-            if order < top:
-                path.append(iter(extend(word)))
+            for word in path[-1]:
+                yield order, word
+                if order < top:
+                    path.append(survivors(inside, base_extend(word)))
+                    break
+            else:
+                path.pop()
 
     def _splits(self, x):
         return [(y, z) for y, z in self.base._splits(x)
@@ -539,7 +555,7 @@ def validate_locally_finite(m: ZeroMonoid, max_order: int) -> Report:
     """
     if max_order < 1:
         raise ValueError(f"max_order must be at least 1, got {max_order}")
-    grades = [m.elements_of_order(n) for n in range(max_order + 1)]
+    grades = [sorted(grade, key=m.sort_key) for grade in m.grades(max_order)]
     one = m.identity()
     violations = []
 

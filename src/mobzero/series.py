@@ -394,19 +394,18 @@ def convolve_oracle(f: Series, g: Series) -> Series:
     ring = f.ring
     cap = min(f.truncation, g.truncation)
     terms = {}
-    for n in range(cap + 1):
-        for x in m.iter_order(n):
-            total = ring.zero
-            for y, z in m._splits(x):
-                a = f.terms.get(y)
-                if a is None:
-                    continue
-                b = g.terms.get(z)
-                if b is None:
-                    continue
-                total = ring.add(total, ring.mul(a, b))
-            if total != ring.zero:
-                terms[x] = total
+    for _, x in m.walk(cap):
+        total = ring.zero
+        for y, z in m._splits(x):
+            a = f.terms.get(y)
+            if a is None:
+                continue
+            b = g.terms.get(z)
+            if b is None:
+                continue
+            total = ring.add(total, ring.mul(a, b))
+        if total != ring.zero:
+            terms[x] = total
     return Series(m, cap, terms, ring, _normalized=True)
 
 
@@ -508,10 +507,7 @@ def star_by_powers(f: Series):
 def characteristic_series(m: ZeroMonoid, truncation: int = DEFAULT_TRUNCATION,
                           ring: Ring = INTEGERS) -> Series:
     """Sum of every nonzero element up to the truncation, coefficient one."""
-    terms = {}
-    for n in range(truncation + 1):
-        for x in m.iter_order(n):
-            terms[x] = ring.one
+    terms = {x: ring.one for _, x in m.walk(truncation)}
     return Series(m, truncation, terms, ring, _normalized=True)
 
 
@@ -578,8 +574,9 @@ def random_series(rng, m: ZeroMonoid, truncation: int,
     [coeff_lo, coeff_hi], coerced into the ring.  Zero draws are dropped.
     """
     pool = []
-    for n in range(1 if proper else 0, min(max_support_order, truncation) + 1):
-        pool.extend(m.elements_of_order(n))
+    grades = m.grades(min(max_support_order, truncation))
+    for grade in grades[1 if proper else 0:]:
+        pool.extend(sorted(grade, key=m.sort_key))
     if not pool:
         return Series.zero(m, truncation, ring)
     size = rng.randint(1, min(8, len(pool)))

@@ -1,6 +1,7 @@
 """Grade enumeration of Rees quotients by extending survivors, checked
 against the filter over every base word."""
 
+import json
 import random
 
 import pytest
@@ -14,7 +15,12 @@ from mobzero import (
     ReesQuotient,
     RepeatedLetterIdeal,
     ZeroMonoid,
+    cauchy_product,
+    characteristic_series,
+    convolve_oracle,
+    random_series,
 )
+from mobzero.cli import main
 
 from helpers import (
     alphabet,
@@ -100,6 +106,46 @@ def test_walk_defaults_to_grade_after_grade():
     for m in (free(2), q):
         assert list(m.walk(-1)) == []
         assert [w for n, w in m.walk(0)] == [()]
+
+
+def test_grades_bucket_one_walk_in_iter_order_order():
+    for k in (2, 3):
+        for q in builtin_quotients(k, seed=1):
+            expected = [list(q.iter_order(n)) for n in range(TOP + 1)]
+            assert q.grades(TOP) == expected, q.describe()
+    assert free(2).grades(2) == [list(free(2).iter_order(n)) for n in range(3)]
+    assert free(2).grades(-1) == []
+
+
+def test_adjoined_zero_walks_its_quotient_base():
+    q = ReesQuotient(free(3), RepeatedLetterIdeal(free(3)))
+    assert list(AdjoinedZero(q).walk(TOP)) == list(q.walk(TOP))
+
+
+def test_grade_consumers_see_every_survivor():
+    rng = random.Random(5)
+    for q in builtin_quotients(3, seed=2):
+        survivors = {w for n in range(6) for w in survivors_by_filter(q, n)}
+        assert set(characteristic_series(q, 5).terms) == survivors
+        f = random_series(rng, q, 5)
+        g = random_series(rng, q, 5)
+        assert convolve_oracle(f, g) == cauchy_product(f, g), q.describe()
+
+
+def test_count_command_lists_sorted_survivors(capsys):
+    spec = {"type": "rees",
+            "base": {"type": "free", "alphabet": ["a", "b", "c"]},
+            "ideal": {"kind": "generated", "words": [["a", "b"], ["c", "c"]]}}
+    assert main(["count", "--monoid", json.dumps(spec), "--terms", "5",
+                 "--format", "json"]) == 0
+    orders = json.loads(capsys.readouterr().out)["orders"]
+    base = free(3)
+    q = ReesQuotient(base, GeneratedIdeal(base, [(0, 1), (2, 2)]))
+    assert [o["order"] for o in orders] == list(range(6))
+    for n, entry in enumerate(orders):
+        expected = sorted(survivors_by_filter(q, n), key=q.sort_key)
+        assert entry["count"] == len(expected)
+        assert entry["elements"] == [q.word_letters(w) for w in expected]
 
 
 def test_quotient_of_a_quotient():
