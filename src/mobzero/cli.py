@@ -142,7 +142,7 @@ def _cmd_count(args) -> int:
     terms = args.order if args.terms is None else args.terms
     if terms < 0:
         raise ValueError(f"terms must be nonnegative, got {terms}")
-    grades = [sorted(grade, key=m.sort_key) for grade in m.grades(terms)]
+    grades = m.grades(terms)
     if args.format == "json":
         orders = [{"order": n, "count": len(elements),
                    "elements": [m.word_letters(w) for w in elements]}

@@ -222,10 +222,12 @@ class ZeroMonoid(ABC):
 
     def grades(self, top: int) -> list:
         """The nonzero elements of each order 0..top, one list per order,
-        each in the order of ``iter_order``, bucketed from one ``walk``."""
+        each sorted like ``elements_of_order``, from one ``walk``."""
         buckets = [[] for _ in range(top + 1)]
         for n, word in self.walk(top):
             buckets[n].append(word)
+        for bucket in buckets:
+            bucket.sort(key=self.sort_key)
         return buckets
 
     def elements_of_order(self, n: int) -> list:
@@ -555,7 +557,7 @@ def validate_locally_finite(m: ZeroMonoid, max_order: int) -> Report:
     """
     if max_order < 1:
         raise ValueError(f"max_order must be at least 1, got {max_order}")
-    grades = [sorted(grade, key=m.sort_key) for grade in m.grades(max_order)]
+    grades = m.grades(max_order)
     one = m.identity()
     violations = []
 

@@ -573,10 +573,8 @@ def random_series(rng, m: ZeroMonoid, truncation: int,
     (order at least 1 when proper); coefficients are uniform integers in
     [coeff_lo, coeff_hi], coerced into the ring.  Zero draws are dropped.
     """
-    pool = []
     grades = m.grades(min(max_support_order, truncation))
-    for grade in grades[1 if proper else 0:]:
-        pool.extend(sorted(grade, key=m.sort_key))
+    pool = [x for grade in grades[1 if proper else 0:] for x in grade]
     if not pool:
         return Series.zero(m, truncation, ring)
     size = rng.randint(1, min(8, len(pool)))

@@ -108,12 +108,13 @@ def test_walk_defaults_to_grade_after_grade():
         assert [w for n, w in m.walk(0)] == [()]
 
 
-def test_grades_bucket_one_walk_in_iter_order_order():
+def test_grades_match_elements_of_order():
     for k in (2, 3):
         for q in builtin_quotients(k, seed=1):
-            expected = [list(q.iter_order(n)) for n in range(TOP + 1)]
+            expected = [q.elements_of_order(n) for n in range(TOP + 1)]
             assert q.grades(TOP) == expected, q.describe()
-    assert free(2).grades(2) == [list(free(2).iter_order(n)) for n in range(3)]
+    for m in (free(2), commutative(3)):
+        assert m.grades(4) == [m.elements_of_order(n) for n in range(5)]
     assert free(2).grades(-1) == []
 
 
