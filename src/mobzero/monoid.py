@@ -216,9 +216,9 @@ class ZeroMonoid(ABC):
 
         Grade after grade here; a subclass may yield in another order.
         """
-        for n in range(top + 1):
-            for word in self.iter_order(n):
-                yield n, word
+        return itertools.chain.from_iterable(
+            zip(itertools.repeat(n), self.iter_order(n))
+            for n in range(top + 1))
 
     def grades(self, top: int) -> list:
         """The nonzero elements of each order 0..top, one list per order,
