@@ -48,8 +48,6 @@ from .series import (
     INTEGERS,
     RATIONALS,
     IntegerModRing,
-    IntegerRing,
-    RationalRing,
     Ring,
     Series,
     add,
@@ -96,5 +94,3 @@ from .specio import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [name for name in dir() if not name.startswith("_")]

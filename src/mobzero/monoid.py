@@ -265,6 +265,17 @@ class ZeroMonoid(ABC):
             return "1"
         return self.alphabet().join(self.word_letters(word))
 
+    def _key(self):
+        """What, beside the class, two equal realizations share; by
+        default only the instance itself."""
+        return id(self)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other._key() == self._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
 
 class FreeMonoid(ZeroMonoid):
     """Words over a finite alphabet under concatenation.
@@ -312,11 +323,8 @@ class FreeMonoid(ZeroMonoid):
     def __repr__(self):
         return f"FreeMonoid({list(self._alphabet)})"
 
-    def __eq__(self, other):
-        return type(other) is FreeMonoid and other._alphabet == self._alphabet
-
-    def __hash__(self):
-        return hash(("free", self._alphabet))
+    def _key(self):
+        return self._alphabet
 
 
 class FreeCommutativeMonoid(ZeroMonoid):
@@ -381,19 +389,15 @@ class FreeCommutativeMonoid(ZeroMonoid):
     def __repr__(self):
         return f"FreeCommutativeMonoid({list(self._alphabet)})"
 
-    def __eq__(self, other):
-        return (type(other) is FreeCommutativeMonoid
-                and other._alphabet == self._alphabet)
-
-    def __hash__(self):
-        return hash(("free-commutative", self._alphabet))
+    def _key(self):
+        return self._alphabet
 
 
-class AdjoinedZero(ZeroMonoid):
-    """A base monoid with a fresh absorbing zero adjoined.
+class _OverBase(ZeroMonoid):
+    """A monoid whose nonzero elements are words of ``base``.
 
-    The zero absorbs but is never the product of two nonzero elements, so
-    every word-level operation delegates to the base realization.
+    Every word-level operation that a subclass does not override is the
+    base's own.
     """
 
     def __init__(self, base: ZeroMonoid):
@@ -433,20 +437,25 @@ class AdjoinedZero(ZeroMonoid):
     def word_from_letters(self, names):
         return self.base.word_from_letters(names)
 
+
+class AdjoinedZero(_OverBase):
+    """A base monoid with a fresh absorbing zero adjoined.
+
+    The zero absorbs but is never the product of two nonzero elements, so
+    every word-level operation delegates to the base realization.
+    """
+
     def describe(self):
         return f"{self.base.describe()} with adjoined zero"
 
     def __repr__(self):
         return f"AdjoinedZero({self.base!r})"
 
-    def __eq__(self, other):
-        return type(other) is AdjoinedZero and other.base == self.base
-
-    def __hash__(self):
-        return hash(("adjoin-zero", self.base))
+    def _key(self):
+        return self.base
 
 
-class ReesQuotient(ZeroMonoid):
+class ReesQuotient(_OverBase):
     """Quotient of a base monoid by a proper two-sided ideal collapsed to zero.
 
     Elements are the base words outside the ideal; a product falls to
@@ -468,15 +477,8 @@ class ReesQuotient(ZeroMonoid):
         if ideal.contains(base.identity()):
             raise SpecError(
                 f"{ideal.describe()} is not proper: it contains the identity")
-        self.base = base
+        super().__init__(base)
         self.ideal = ideal
-        self.word_kind = base.word_kind
-
-    def alphabet(self):
-        return self.base.alphabet()
-
-    def identity(self):
-        return self.base.identity()
 
     def contains(self, word):
         return self.base.contains(word) and not self.ideal.contains(word)
@@ -486,9 +488,6 @@ class ReesQuotient(ZeroMonoid):
         if z is ZERO or self.ideal.contains(z):
             return ZERO
         return z
-
-    def _order(self, word):
-        return self.base._order(word)
 
     def iter_order(self, n):
         return (word for order, word in self.walk(n) if order == n)
@@ -524,12 +523,6 @@ class ReesQuotient(ZeroMonoid):
         return [(y, z) for y, z in self.base._splits(x)
                 if self.contains(y) and self.contains(z)]
 
-    def sort_key(self, word):
-        return self.base.sort_key(word)
-
-    def word_from_letters(self, names):
-        return self.base.word_from_letters(names)
-
     def describe(self):
         return (f"Rees quotient of {self.base.describe()} "
                 f"by {self.ideal.describe()}")
@@ -537,12 +530,8 @@ class ReesQuotient(ZeroMonoid):
     def __repr__(self):
         return f"ReesQuotient({self.base!r}, {self.ideal!r})"
 
-    def __eq__(self, other):
-        return (type(other) is ReesQuotient and other.base == self.base
-                and other.ideal == self.ideal)
-
-    def __hash__(self):
-        return hash(("rees", self.base, self.ideal))
+    def _key(self):
+        return self.base, self.ideal
 
 
 def validate_locally_finite(m: ZeroMonoid, max_order: int) -> Report:

@@ -35,10 +35,6 @@ class QuotientContext:
     """
 
     def __init__(self, base: ZeroMonoid, ideal, quotient: ReesQuotient = None):
-        if ideal.base != base:
-            raise SpecError(
-                f"ideal is declared over {ideal.base.describe()}, "
-                f"not over {base.describe()}")
         if quotient is None:
             quotient = ReesQuotient(base, ideal)
         elif quotient.base != base or quotient.ideal != ideal:

@@ -25,30 +25,34 @@ from .monoid import DEFAULT_TRUNCATION, Report, Word, ZERO, ZeroMonoid
 
 
 class Ring:
-    """Commutative ring with unit, operating on raw coefficient values."""
+    """Exact commutative ring with unit on ``int`` or ``Fraction`` values.
 
-    name = "ring"
-    value_type = object
-    zero = None
-    one = None
+    The arithmetic is Python's own, so the hot loops that bind ``add`` and
+    ``mul`` call C functions; equal rings have the same class and name.
+    """
 
-    def add(self, a, b):
-        raise NotImplementedError
+    add = staticmethod(operator.add)
+    neg = staticmethod(operator.neg)
+    mul = staticmethod(operator.mul)
 
-    def neg(self, a):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
+    def __init__(self, name: str, value_type: type):
+        # exactness: no float, and no other inexact type, becomes a ring
+        if value_type not in (int, Fraction):
+            raise ValueError(
+                f"ring values must be int or Fraction, got {value_type!r}")
+        self.name = name
+        self.value_type = value_type
+        self.zero = value_type(0)
+        self.one = value_type(1)
 
     def from_int(self, n: int):
-        raise NotImplementedError
+        return self.value_type(n)
 
     def is_negative(self, a) -> bool:
-        return False
+        return a < 0
 
     def abs(self, a):
-        return a
+        return -a if a < 0 else a
 
     def render(self, a) -> str:
         return str(a)
@@ -57,62 +61,22 @@ class Ring:
         return self.name
 
     def __eq__(self, other):
-        return type(other) is type(self)
+        return type(other) is type(self) and other.name == self.name
 
     def __hash__(self):
-        return hash(type(self))
-
-
-class IntegerRing(Ring):
-    name = "integers"
-    value_type = int
-    zero = 0
-    one = 1
-    add = staticmethod(operator.add)
-    neg = staticmethod(operator.neg)
-    mul = staticmethod(operator.mul)
-
-    def from_int(self, n):
-        return int(n)
-
-    def is_negative(self, a):
-        return a < 0
-
-    def abs(self, a):
-        return -a if a < 0 else a
-
-
-class RationalRing(Ring):
-    name = "rationals"
-    value_type = Fraction
-    zero = Fraction(0)
-    one = Fraction(1)
-    add = staticmethod(operator.add)
-    neg = staticmethod(operator.neg)
-    mul = staticmethod(operator.mul)
-
-    def from_int(self, n):
-        return Fraction(n)
-
-    def is_negative(self, a):
-        return a < 0
-
-    def abs(self, a):
-        return -a if a < 0 else a
+        return hash(self.name)
 
 
 class IntegerModRing(Ring):
     """Integers modulo m, stored as canonical residues 0..m-1."""
 
-    value_type = int
-
     def __init__(self, modulus: int):
-        if modulus < 2:
-            raise ValueError(f"modulus must be at least 2, got {modulus}")
+        if (not isinstance(modulus, int) or isinstance(modulus, bool)
+                or modulus < 2):
+            raise ValueError(
+                f"modulus must be an integer of at least 2, got {modulus!r}")
+        super().__init__(f"integers mod {modulus}", int)
         self.modulus = modulus
-        self.name = f"integers mod {modulus}"
-        self.zero = 0
-        self.one = 1 % modulus
 
     def add(self, a, b):
         return (a + b) % self.modulus
@@ -126,15 +90,15 @@ class IntegerModRing(Ring):
     def from_int(self, n):
         return n % self.modulus
 
-    def __eq__(self, other):
-        return type(other) is IntegerModRing and other.modulus == self.modulus
+    def is_negative(self, a):
+        return False
 
-    def __hash__(self):
-        return hash(("mod", self.modulus))
+    def abs(self, a):
+        return a
 
 
-INTEGERS = IntegerRing()
-RATIONALS = RationalRing()
+INTEGERS = Ring("integers", int)
+RATIONALS = Ring("rationals", Fraction)
 
 
 class Series:
@@ -189,12 +153,6 @@ class Series:
         return cls(monoid, truncation, {monoid.identity(): ring.one}, ring,
                    _normalized=True)
 
-    @classmethod
-    def monomial(cls, monoid, truncation, word, coeff=None, ring=INTEGERS):
-        if coeff is None:
-            coeff = ring.one
-        return cls(monoid, truncation, {word: coeff}, ring)
-
     # -- queries -----------------------------------------------------------
 
     def coefficient(self, word: Word):
@@ -221,9 +179,6 @@ class Series:
         if not self.terms:
             return math.inf
         return min(self.monoid._order(w) for w in self.terms)
-
-    def support(self) -> list:
-        return [w for w, _ in self.items_sorted()]
 
     def items_sorted(self) -> list:
         m = self.monoid
@@ -333,9 +288,12 @@ def add(f: Series, g: Series) -> Series:
 
 
 def scalar_mul(alpha, f: Series) -> Series:
-    """Left scalar multiple; plain ints are coerced into the ring, and any
-    other scalar must already be a value of the ring."""
+    """Left scalar multiple; plain ints are coerced into the ring, any
+    other scalar must already be a value of the ring, and bools are
+    rejected, as the constructor rejects them."""
     ring = f.ring
+    if isinstance(alpha, bool):
+        raise TypeError(f"scalar {alpha!r} is a bool, not a value of {ring!r}")
     if isinstance(alpha, int):
         alpha = ring.from_int(alpha)
     elif not isinstance(alpha, ring.value_type):

@@ -188,6 +188,13 @@ class EnumerableOnly(ZeroMonoid):
         return iter([(0,) * n])
 
 
+def test_monoid_without_key_equals_only_itself():
+    m = EnumerableOnly()
+    assert m == m
+    assert EnumerableOnly() != EnumerableOnly()
+    assert len({m, m, EnumerableOnly()}) == 2
+
+
 def test_quotient_over_base_without_extend_cannot_enumerate():
     base = EnumerableOnly()
     q = ReesQuotient(base, MinLengthIdeal(base, 3))

@@ -237,6 +237,19 @@ def test_rees_equality():
     assert standard_words(2) != standard_words(3)
 
 
+def test_builtins_equal_a_rebuild_and_differ_from_each_other():
+    first, again = builtin_monoids(2), builtin_monoids(2)
+    for i, m in enumerate(first):
+        assert m == again[i] and hash(m) == hash(again[i])
+        assert all(m != other for j, other in enumerate(first) if j != i)
+    assert len(set(first + again)) == 7
+
+
+def test_same_alphabet_different_class_is_unequal():
+    alpha = alphabet(2)
+    assert FreeMonoid(alpha) != FreeCommutativeMonoid(alpha)
+
+
 # -- algebraic laws, sampled and small-exhaustive ---------------------------
 
 def pool_up_to(m, top):

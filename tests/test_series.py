@@ -16,6 +16,7 @@ from mobzero import (
     ProperError,
     RATIONALS,
     ReesQuotient,
+    Ring,
     Series,
     TruncationError,
     add,
@@ -55,6 +56,32 @@ def w(m, text):
 
 def S(m, truncation, pairs, ring=INTEGERS):
     return series_from_letterlists(m, truncation, pairs, ring)
+
+
+# -- rings ------------------------------------------------------------------
+
+def test_rings_equal_by_class_and_name():
+    rings = {INTEGERS, RATIONALS, IntegerModRing(5), IntegerModRing(7),
+             IntegerModRing(7)}
+    assert len(rings) == 4
+    assert Ring("integers", int) == INTEGERS
+    assert IntegerModRing(7) != INTEGERS
+
+
+@pytest.mark.parametrize("value_type", [float, bool, complex, str])
+def test_ring_accepts_only_exact_value_types(value_type):
+    with pytest.raises(ValueError):
+        Ring("inexact", value_type)
+
+
+def test_ring_values_come_from_the_value_type():
+    assert type(RATIONALS.one) is Fraction and RATIONALS.from_int(3) == 3
+    assert type(RATIONALS.from_int(3)) is Fraction
+    assert INTEGERS.zero == 0 and INTEGERS.one == 1
+    mod7 = IntegerModRing(7)
+    assert (mod7.zero, mod7.one, mod7.from_int(-1)) == (0, 1, 6)
+    assert not mod7.is_negative(6) and mod7.abs(6) == 6
+    assert INTEGERS.is_negative(-2) and INTEGERS.abs(-2) == 2
 
 
 # -- construction and normalization ----------------------------------------
@@ -192,6 +219,17 @@ def test_scalar_mul_rejects_fraction_on_integer_series():
         Series.one(free(2), 3) * Fraction(1, 2)
     with pytest.raises(TypeError):
         Fraction(2) * Series.one(free(2), 3)
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_scalar_mul_rejects_bools(flag):
+    f = Series.one(free(2), 3)
+    with pytest.raises(TypeError):
+        scalar_mul(flag, f)
+    with pytest.raises(TypeError):
+        flag * f
+    with pytest.raises(TypeError):
+        f * flag
 
 
 def test_scalar_mul_rejects_fraction_on_mod_series():
@@ -510,6 +548,9 @@ def test_ring_axioms_sampled():
 def test_mod_ring_bounds():
     with pytest.raises(ValueError):
         IntegerModRing(1)
+    for modulus in (2.5, 7.0, Fraction(7), True):
+        with pytest.raises(ValueError):
+            IntegerModRing(modulus)
     assert IntegerModRing(5) == IntegerModRing(5)
     assert IntegerModRing(5) != IntegerModRing(7)
 
