@@ -188,8 +188,16 @@ _COMMANDS = {
 }
 
 
+_parser = None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    # built on the first call and reused: parsing leaves the parser as it
+    # was, and each call gets a fresh namespace
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         if args.order < 0:
             raise ValueError(f"order must be nonnegative, got {args.order}")

@@ -39,13 +39,34 @@ class HilbertPrefix:
 
 
 def hilbert_prefix(m: ZeroMonoid, terms: int) -> HilbertPrefix:
-    """Count nonzero elements of each order from 0 up to ``terms``, in
-    one walk over them."""
+    """Count nonzero elements of each order from 0 up to ``terms``.
+
+    Each grade is held as one representative word and a multiplicity per
+    residue (:meth:`ZeroMonoid.residue`); the next grade extends every
+    representative once.  Elements of equal order and residue have
+    extensions of equal residues, so the counts are exact while each
+    grade costs its number of residues times the extensions of one word,
+    not its number of elements.  Needs ``m.extend``: a monoid without it
+    raises :class:`InfiniteGradeError` for ``terms`` above 0.
+    """
     if terms < 0:
         raise ValueError(f"terms must be nonnegative, got {terms}")
-    counts = [0] * (terms + 1)
-    for n, _ in m.walk(terms):
-        counts[n] += 1
+    extend = m.extend
+    residue = m.residue
+    one = m.identity()
+    grade = {residue(one): [one, 1]}
+    counts = [1]
+    for _ in range(terms):
+        above = {}
+        for word, multiplicity in grade.values():
+            for child in extend(word):
+                key = residue(child)
+                if key in above:
+                    above[key][1] += multiplicity
+                else:
+                    above[key] = [child, multiplicity]
+        grade = above
+        counts.append(sum(entry[1] for entry in grade.values()))
     return HilbertPrefix(tuple(counts))
 
 
@@ -53,9 +74,10 @@ def check_hilbert_relation(ctx: QuotientContext, terms: int) -> Report:
     """Quotient count plus ideal count must equal the full alphabet power.
 
     Demands a free base so the total at degree n is k**n analytically;
-    the ideal side is enumerated by the membership predicate over the
-    whole base grade and the quotient side by its own walk, making three
-    independent routes per degree.
+    the ideal side tests every word of the base grade with the
+    membership predicate, and the quotient side comes from
+    :func:`hilbert_prefix`, which counts residue classes and builds no
+    grade, making three independent routes per degree.
     """
     if terms < 0:
         raise ValueError(f"terms must be nonnegative, got {terms}")

@@ -54,6 +54,12 @@ class IdealSpec(ABC):
         """
         return self.contains(word)
 
+    def residue(self, word: Word):
+        """What of ``word`` membership of its extensions depends on, given
+        their order and the base's residue; see :meth:`ZeroMonoid.residue`.
+        The word itself always qualifies and merges nothing."""
+        return word
+
     def describe(self) -> str:
         return f"{self.kind} ideal"
 
@@ -92,6 +98,9 @@ class RepeatedLetterIdeal(IdealSpec):
     def contains_extension(self, word: Word) -> bool:
         return word[-1] in word[:-1]
 
+    def residue(self, word: Word):
+        return frozenset(word)
+
 
 class MinLengthIdeal(IdealSpec):
     """Words of length at least a fixed bound n."""
@@ -110,6 +119,9 @@ class MinLengthIdeal(IdealSpec):
 
     # the length test is as cheap as any incremental one
     contains_extension = contains
+
+    def residue(self, word: Word):
+        return ()
 
     def describe(self) -> str:
         return f"min-length({self.n}) ideal"
@@ -137,6 +149,9 @@ class GeneratedIdeal(IdealSpec):
             raise SpecError("generated ideal needs at least one generator")
         # dedupe; keep a canonical order so equal generator sets compare equal
         self.generators = tuple(sorted(set(generators), key=lambda w: (len(w), w)))
+        # a generator that ends at an appended letter starts at most this
+        # many letters before it
+        self._memory = len(self.generators[-1]) - 1
 
     def contains(self, word: Word) -> bool:
         for g in self.generators:
@@ -154,6 +169,9 @@ class GeneratedIdeal(IdealSpec):
             if word[n - len(g):] == g:
                 return True
         return False
+
+    def residue(self, word: Word):
+        return word[-self._memory:] if self._memory else ()
 
     def describe(self) -> str:
         shown = ", ".join(self.base.render_word(g) for g in self.generators)
@@ -182,6 +200,9 @@ class DegreeAtLeastIdeal(IdealSpec):
         return sum(word) >= self.d
 
     contains_extension = contains
+
+    def residue(self, word: Word):
+        return ()
 
     def describe(self) -> str:
         return f"degree-at-least({self.d}) ideal"
@@ -215,6 +236,9 @@ class EvPreimageIdeal(IdealSpec):
 
     def contains(self, word: Word) -> bool:
         return self.inner.contains(commutative_image(word, self._size))
+
+    def residue(self, word: Word):
+        return commutative_image(word, self._size)
 
     def describe(self) -> str:
         return f"ev-preimage({self.inner.describe()})"

@@ -210,6 +210,16 @@ class ZeroMonoid(ABC):
         raise InfiniteGradeError(
             f"{self.describe()} cannot extend its elements")
 
+    def residue(self, word: Word):
+        """What of ``word`` its extensions depend on.
+
+        Two elements of equal order and equal residue must have
+        ``extend`` lists whose residues agree as multisets, so that
+        counting elements needs one representative per residue and
+        grade.  The word itself always qualifies and merges nothing.
+        """
+        return word
+
     def walk(self, top: int) -> Iterator[tuple]:
         """Yield ``(order, word)`` once for every nonzero element of order
         at most ``top``; nothing when ``top`` is negative.
@@ -314,6 +324,9 @@ class FreeMonoid(ZeroMonoid):
     def extend(self, word):
         return list(map(word.__add__, self._letters))
 
+    def residue(self, word):
+        return ()
+
     def _splits(self, x):
         return [(x[:i], x[i:]) for i in range(len(x) + 1)]
 
@@ -362,11 +375,16 @@ class FreeCommutativeMonoid(ZeroMonoid):
     def extend(self, word):
         # raise one coordinate at or after the last nonzero one: appending
         # a letter to a nondecreasing index sequence keeps it nondecreasing
+        last = self.residue(word)
+        return [word[:i] + (word[i] + 1,) + word[i + 1:]
+                for i in range(last, self._size)]
+
+    def residue(self, word):
+        """Index of the last nonzero coordinate; 0 for the identity."""
         last = self._size - 1
         while last and not word[last]:
             last -= 1
-        return [word[:i] + (word[i] + 1,) + word[i + 1:]
-                for i in range(last, self._size)]
+        return last
 
     def _splits(self, x):
         pairs = []
@@ -428,6 +446,9 @@ class _OverBase(ZeroMonoid):
     def walk(self, top):
         return self.base.walk(top)
 
+    def residue(self, word):
+        return self.base.residue(word)
+
     def _splits(self, x):
         return self.base._splits(x)
 
@@ -466,7 +487,8 @@ class ReesQuotient(_OverBase):
     two-sided.  So every element is an extension of an element one order
     below, and grades are enumerated by a depth-first walk over the
     base's extensions that stops at ideal members: only elements and
-    their immediate extensions are ever built.
+    their immediate extensions are ever built.  For the same reason the
+    factorizations of an element are its base factorizations.
     """
 
     def __init__(self, base: ZeroMonoid, ideal):
@@ -519,9 +541,8 @@ class ReesQuotient(_OverBase):
             else:
                 path.pop()
 
-    def _splits(self, x):
-        return [(y, z) for y, z in self.base._splits(x)
-                if self.contains(y) and self.contains(z)]
+    def residue(self, word):
+        return self.base.residue(word), self.ideal.residue(word)
 
     def describe(self):
         return (f"Rees quotient of {self.base.describe()} "

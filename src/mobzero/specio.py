@@ -76,6 +76,11 @@ def _field(obj: dict, name: str, what: str):
     return obj[name]
 
 
+def _is_integer(value) -> bool:
+    """A JSON integer; ``true`` and ``false`` are not numbers here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_monoid(obj: dict) -> ZeroMonoid:
     kind = _field(obj, "type", "monoid")
     if kind == "free":
@@ -110,7 +115,7 @@ def parse_ideal(obj: dict, base: ZeroMonoid) -> IdealSpec:
         return RepeatedLetterIdeal(base)
     if kind == "min-length":
         n = _field(obj, "n", "min-length ideal")
-        if not isinstance(n, int):
+        if not _is_integer(n):
             raise SpecError(f"min-length bound must be an integer, got {n!r}")
         return MinLengthIdeal(base, n)
     if kind == "generated":
@@ -121,7 +126,7 @@ def parse_ideal(obj: dict, base: ZeroMonoid) -> IdealSpec:
         return GeneratedIdeal(base, words)
     if kind == "degree-at-least":
         d = _field(obj, "d", "degree-at-least ideal")
-        if not isinstance(d, int):
+        if not _is_integer(d):
             raise SpecError(f"degree bound must be an integer, got {d!r}")
         return DegreeAtLeastIdeal(base, d)
     if kind == "ev-preimage":
@@ -149,7 +154,7 @@ def ideal_to_json(spec: IdealSpec) -> dict:
 def parse_series(obj: dict, monoid: ZeroMonoid, ring: Ring = INTEGERS,
                  expected_truncation: int = None) -> Series:
     truncation = _field(obj, "truncation", "series")
-    if not isinstance(truncation, int) or truncation < 0:
+    if not _is_integer(truncation) or truncation < 0:
         raise SpecError(
             f"series truncation must be a nonnegative integer, got {truncation!r}")
     if expected_truncation is not None and truncation != expected_truncation:

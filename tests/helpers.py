@@ -4,9 +4,11 @@ The oracles here deliberately avoid the code paths they are used to
 check: the Mobius oracle inverts the characteristic series by a
 grade-by-grade linear solve over factorizations instead of the star
 route, the falling-factorial counter predicts no-repeat word counts
-arithmetically instead of by enumeration, and the survivor filter lists
+arithmetically instead of by enumeration, the survivor filter lists
 a quotient's grade by testing every base word instead of extending the
-grade below.
+grade below, the walk counter counts every element instead of one word
+per residue class, and the factorization filter tests both factors of
+every base factorization for membership in the quotient.
 """
 
 from mobzero import (
@@ -101,6 +103,22 @@ def survivors_by_filter(quotient, n):
     base's order: every base word is built and tested with ``contains``."""
     contains = quotient.ideal.contains
     return [w for w in quotient.base.iter_order(n) if not contains(w)]
+
+
+def counts_by_walk(m, top):
+    """Number of nonzero elements of each order 0..top, one walk over
+    every element."""
+    counts = [0] * (top + 1)
+    for n, _ in m.walk(top):
+        counts[n] += 1
+    return tuple(counts)
+
+
+def factorizations_by_filter(quotient, x):
+    """The base factorizations of x whose two factors both lie outside
+    the quotient's ideal, in the order of ``factorizations``."""
+    return [(y, z) for y, z in quotient.base.factorizations(x)
+            if quotient.contains(y) and quotient.contains(z)]
 
 
 def falling_factorial(k, n):

@@ -88,6 +88,30 @@ def test_mul_two_series(tmp_path, capsys):
     assert out == "ac + ba + bc\n"
 
 
+def test_consecutive_calls_do_not_share_series_operands(tmp_path, capsys):
+    f = write_series(tmp_path, "f.json", {
+        "truncation": 4, "terms": [["1", ["a"]], ["1", ["b"]]]})
+    g = write_series(tmp_path, "g.json", {
+        "truncation": 4, "terms": [["1", ["a"]], ["1", ["c"]]]})
+    assert run(capsys, "mul", "--monoid", STANDARD, "--order", "4",
+               "--series", f, "--series", g)[:2] == (0, "ac + ba + bc\n")
+    assert run(capsys, "mul", "--monoid", STANDARD, "--order", "4",
+               "--series", g, "--series", f)[:2] == (0, "ab + ca + cb\n")
+    code, _, err = run(capsys, "mul", "--monoid", STANDARD, "--order", "4",
+                       "--series", f)
+    assert code == 1
+    assert "got 1" in err
+
+
+def test_failed_call_leaves_the_next_one_alone(capsys):
+    code, out, err = run(capsys, "hilbert", "--monoid", '{"type": "nope"}',
+                         "--order", "3", "--format", "json")
+    assert (code, out) == (1, "")
+    assert "unknown monoid type" in err
+    assert run(capsys, "hilbert", "--monoid", STANDARD) == (
+        0, "1 + 3t + 6t^2 + 6t^3\n", "")
+
+
 def test_invert_one_gives_mobius(tmp_path, capsys):
     one = write_series(tmp_path, "one.json", {
         "truncation": 4, "terms": [["1", []]]})

@@ -1,15 +1,21 @@
 """Grade enumeration of Rees quotients by extending survivors, checked
-against the filter over every base word."""
+against the filter over every base word; residue classes, which
+``hilbert_prefix`` counts by, checked against the walk over every
+element; quotient factorizations checked against the filtered base
+factorizations."""
 
 import json
 import random
+from collections import Counter
 
 import pytest
 
 from mobzero import (
     AdjoinedZero,
     DegreeAtLeastIdeal,
+    EvPreimageIdeal,
     GeneratedIdeal,
+    IdealSpec,
     InfiniteGradeError,
     MinLengthIdeal,
     ReesQuotient,
@@ -18,6 +24,7 @@ from mobzero import (
     cauchy_product,
     characteristic_series,
     convolve_oracle,
+    hilbert_prefix,
     random_series,
 )
 from mobzero.cli import main
@@ -26,6 +33,8 @@ from helpers import (
     alphabet,
     builtin_free_ideals,
     commutative,
+    counts_by_walk,
+    factorizations_by_filter,
     free,
     survivors_by_filter,
 )
@@ -52,6 +61,80 @@ def builtin_quotients(k, seed):
         for d in (1, 3, 5):
             out.append(ReesQuotient(base, DegreeAtLeastIdeal(base, d)))
     return out
+
+
+def quotients_of_quotients(k, seed):
+    """Repeated-letter and seeded generated ideals over a min-length, a
+    fixed generated and a seeded generated quotient of the free monoid
+    on k letters."""
+    rng = random.Random(seed)
+    base = free(k)
+    # generators of length 2 and 3 leave every letter in the inner quotient
+    longer = [g + g[:1] for g in seeded_generators(rng, k) if len(g) < 3]
+    out = []
+    for inner_ideal in (MinLengthIdeal(base, 6),
+                        GeneratedIdeal(base, [(0, k - 1)]),
+                        GeneratedIdeal(base, [(0, k - 1)] + longer)):
+        inner = ReesQuotient(base, inner_ideal)
+        words = [g for g in seeded_generators(rng, k) if inner.contains(g)]
+        out.append(ReesQuotient(inner, RepeatedLetterIdeal(inner)))
+        out.append(ReesQuotient(
+            inner, GeneratedIdeal(inner, words or [(k - 1,)])))
+    return out
+
+
+class FirstAndLastLetterIdeal(IdealSpec):
+    """Exponent vectors that use both the first and the last letter; it
+    names no residue of its own."""
+
+    kind = "first-and-last-letter"
+
+    def contains(self, word):
+        return word[0] > 0 and word[-1] > 0
+
+
+def residue_monoids(k, seed):
+    """Every realization that defines or passes on a residue, over k
+    letters: the bases, their adjoined zeros, every built-in quotient,
+    quotients of quotients, an adjoined zero over a quotient, and
+    quotients by an ideal with the default residue, directly and pulled
+    back along the letter counts."""
+    inner = FirstAndLastLetterIdeal(commutative(k))
+    quotients = (builtin_quotients(k, seed) + quotients_of_quotients(k, seed)
+                 + [ReesQuotient(commutative(k), inner),
+                    ReesQuotient(free(k), EvPreimageIdeal(free(k), inner))])
+    return ([free(k), commutative(k), AdjoinedZero(free(k)),
+             AdjoinedZero(commutative(k)), AdjoinedZero(quotients[0])]
+            + quotients)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_equal_residues_have_equal_extension_residues(k):
+    for seed in range(3):
+        for m in residue_monoids(k, seed):
+            first = {}
+            for n, word in m.walk(6):
+                residues = Counter(map(m.residue, m.extend(word)))
+                assert first.setdefault((n, m.residue(word)), residues) \
+                    == residues, (m.describe(), word)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_hilbert_prefix_matches_walk_counts(k):
+    for seed in range(3):
+        for m in residue_monoids(k, seed):
+            assert hilbert_prefix(m, 8).counts == counts_by_walk(m, 8), \
+                m.describe()
+            assert hilbert_prefix(m, 0).counts == (1,)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_quotient_factorizations_are_the_filtered_base_ones(k):
+    for seed in range(3):
+        for q in builtin_quotients(k, seed) + quotients_of_quotients(k, seed):
+            for _, x in q.walk(6):
+                assert q.factorizations(x) == factorizations_by_filter(q, x), \
+                    (q.describe(), x)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -203,3 +286,9 @@ def test_quotient_over_base_without_extend_cannot_enumerate():
         list(q.iter_order(1))
     with pytest.raises(InfiniteGradeError):
         list(q.walk(2))
+
+
+def test_hilbert_prefix_needs_extend():
+    assert hilbert_prefix(EnumerableOnly(), 0).counts == (1,)
+    with pytest.raises(InfiniteGradeError):
+        hilbert_prefix(EnumerableOnly(), 2)

@@ -1,9 +1,12 @@
+import math
 import random
 
 import pytest
 
 from mobzero import (
+    AdjoinedZero,
     DegreeAtLeastIdeal,
+    GeneratedIdeal,
     HilbertPrefix,
     MinLengthIdeal,
     QuotientContext,
@@ -83,6 +86,49 @@ def test_prefix_matches_filtered_counts():
         for m in quotients:
             expected = tuple(len(survivors_by_filter(m, n)) for n in range(8))
             assert hilbert_prefix(m, 7).counts == expected, m.describe()
+
+
+# -- closed forms far beyond enumeration -------------------------------------
+
+FAR = 300
+
+
+def test_far_avoiding_ab_counts_follow_their_recurrence():
+    # words over {a, b, c} without the factor ab: a_n = 3a_(n-1) - a_(n-2)
+    base = free(3)
+    counts = hilbert_prefix(ReesQuotient(base, GeneratedIdeal(base, [(0, 1)])),
+                            FAR).counts
+    expected = [1, 3]
+    while len(expected) <= FAR:
+        expected.append(3 * expected[-1] - expected[-2])
+    assert counts == tuple(expected)
+
+
+def test_far_repeated_letter_counts_are_falling_factorials():
+    for k in (1, 2, 3, 4):
+        assert hilbert_prefix(standard_words(k), FAR).counts == tuple(
+            falling_factorial(k, n) for n in range(FAR + 1))
+
+
+def test_far_min_length_counts_are_powers_below_the_bound():
+    for k, bound in ((1, 1), (2, 7), (3, 5)):
+        for base in (free(k), AdjoinedZero(free(k))):
+            m = ReesQuotient(base, MinLengthIdeal(base, bound))
+            assert hilbert_prefix(m, FAR).counts == tuple(
+                k ** n if n < bound else 0 for n in range(FAR + 1))
+
+
+def test_far_free_and_commutative_counts():
+    for k in (1, 2, 3, 4):
+        assert hilbert_prefix(free(k), FAR).counts == tuple(
+            k ** n for n in range(FAR + 1))
+        binomials = tuple(math.comb(n + k - 1, k - 1) for n in range(FAR + 1))
+        for m in (commutative(k), AdjoinedZero(commutative(k))):
+            assert hilbert_prefix(m, FAR).counts == binomials
+        c = commutative(k)
+        m = ReesQuotient(c, DegreeAtLeastIdeal(c, 40))
+        assert hilbert_prefix(m, FAR).counts == tuple(
+            b if n < 40 else 0 for n, b in enumerate(binomials))
 
 
 # -- complement relation ----------------------------------------------------

@@ -176,6 +176,20 @@ def test_parse_series_rejects_bad_terms():
         parse_series({"truncation": 3, "terms": [["1", ["a", "a"]]]}, m)
 
 
+@pytest.mark.parametrize("bound", [True, False])
+def test_parse_ideal_rejects_bool_bounds(bound):
+    with pytest.raises(SpecError):
+        parse_ideal({"kind": "min-length", "n": bound}, free(2))
+    with pytest.raises(SpecError):
+        parse_ideal({"kind": "degree-at-least", "d": bound}, commutative(2))
+
+
+@pytest.mark.parametrize("truncation", [True, False])
+def test_parse_series_rejects_bool_truncation(truncation):
+    with pytest.raises(SpecError):
+        parse_series({"truncation": truncation, "terms": []}, free(2))
+
+
 @pytest.mark.parametrize("coeff", [2.7, True, " 7 ", "1_000", "\u0667"],
                          ids=["json-number", "true", "padded", "underscore",
                               "non-ascii-digit"])
