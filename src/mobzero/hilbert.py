@@ -10,6 +10,7 @@ by computing every quantity along its own route.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import SpecError
@@ -74,10 +75,10 @@ def check_hilbert_relation(ctx: QuotientContext, terms: int) -> Report:
     """Quotient count plus ideal count must equal the full alphabet power.
 
     Demands a free base so the total at degree n is k**n analytically;
-    the ideal side tests every word of the base grade with the
-    membership predicate, and the quotient side comes from
-    :func:`hilbert_prefix`, which counts residue classes and builds no
-    grade, making three independent routes per degree.
+    the ideal side tests every word of length n, built here and not by
+    the monoid, with the membership predicate, and the quotient side
+    comes from :func:`hilbert_prefix`, which counts residue classes and
+    builds no grade, making three independent routes per degree.
     """
     if terms < 0:
         raise ValueError(f"terms must be nonnegative, got {terms}")
@@ -91,7 +92,8 @@ def check_hilbert_relation(ctx: QuotientContext, terms: int) -> Report:
     quotient_counts = list(hilbert_prefix(ctx.quotient, terms).counts)
     for n, survive in enumerate(quotient_counts):
         total = k ** n
-        in_ideal = sum(1 for w in ctx.base.iter_order(n) if contains(w))
+        in_ideal = sum(1 for w in itertools.product(range(k), repeat=n)
+                       if contains(w))
         if survive + in_ideal != total:
             violations.append(
                 f"degree {n}: {survive} survivors + {in_ideal} in the ideal "

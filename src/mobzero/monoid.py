@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Union
 
 from .errors import InfiniteGradeError, MembershipError, SpecError
 
@@ -192,20 +192,16 @@ class ZeroMonoid(ABC):
         self._require(word)
         return self._order(word)
 
-    def iter_order(self, n: int) -> Iterator[Word]:
-        """Lazily enumerate the nonzero elements of order n (any order)."""
-        raise InfiniteGradeError(
-            f"{self.describe()} cannot enumerate elements of order {n}")
-
     def extend(self, word: Word) -> list:
-        """The elements one order above ``word`` that are reached from it.
+        """The elements one order above ``word`` that are reached from it,
+        listed in display order (:meth:`sort_key`).
 
         Every element of order n + 1 is reached from exactly one element
-        of order n, and that element divides it, so a depth-first walk
-        from the identity meets each element once and, when it visits
-        the extensions in the listed order, meets each grade in the order
-        of ``iter_order``.  Sequence words are extended by appending one
-        letter; :meth:`IdealSpec.contains_extension` relies on that.
+        of order n, and that element divides it.  Extending a grade in
+        display order, word after word, lists the next grade in display
+        order: :meth:`grades` relies on that.  Sequence words are extended
+        by appending one letter; :meth:`IdealSpec.contains_extension`
+        relies on that.
         """
         raise InfiniteGradeError(
             f"{self.describe()} cannot extend its elements")
@@ -220,31 +216,22 @@ class ZeroMonoid(ABC):
         """
         return word
 
-    def walk(self, top: int) -> Iterator[tuple]:
-        """Yield ``(order, word)`` once for every nonzero element of order
-        at most ``top``; nothing when ``top`` is negative.
-
-        Grade after grade here; a subclass may yield in another order.
-        """
-        return itertools.chain.from_iterable(
-            zip(itertools.repeat(n), self.iter_order(n))
-            for n in range(top + 1))
-
     def grades(self, top: int) -> list:
-        """The nonzero elements of each order 0..top, one list per order,
-        each sorted like ``elements_of_order``, from one ``walk``."""
-        buckets = [[] for _ in range(top + 1)]
-        for n, word in self.walk(top):
-            buckets[n].append(word)
-        for bucket in buckets:
-            bucket.sort(key=self.sort_key)
-        return buckets
+        """The nonzero elements of each order 0..top, one list per order
+        in display order; ``[]`` when ``top`` is negative.  Each grade is
+        the extensions of the grade below."""
+        if top < 0:
+            return []
+        out = [[self.identity()]]
+        for _ in range(top):
+            out.append([w for x in out[-1] for w in self.extend(x)])
+        return out
 
     def elements_of_order(self, n: int) -> list:
         """All nonzero elements of order n, sorted by display order."""
         if n < 0:
             raise ValueError(f"order must be nonnegative, got {n}")
-        return sorted(self.iter_order(n), key=self.sort_key)
+        return self.grades(n)[n]
 
     def _splits(self, x: Word) -> Iterable:
         raise InfiniteGradeError(
@@ -318,8 +305,10 @@ class FreeMonoid(ZeroMonoid):
     def _order(self, word) -> int:
         return len(word)
 
-    def iter_order(self, n: int) -> Iterator[Word]:
-        return itertools.product(range(self._size), repeat=n)
+    def grades(self, top):
+        # itertools.product builds a grade in C, some 4x faster than extend
+        return [list(itertools.product(range(self._size), repeat=n))
+                for n in range(top + 1)]
 
     def extend(self, word):
         return list(map(word.__add__, self._letters))
@@ -365,12 +354,6 @@ class FreeCommutativeMonoid(ZeroMonoid):
 
     def _order(self, word) -> int:
         return sum(word)
-
-    def iter_order(self, n: int) -> Iterator[Word]:
-        # nondecreasing index sequences of length n = vectors of total degree n,
-        # generated in display order
-        for combo in itertools.combinations_with_replacement(range(self._size), n):
-            yield commutative_image(combo, self._size)
 
     def extend(self, word):
         # raise one coordinate at or after the last nonzero one: appending
@@ -437,14 +420,8 @@ class _OverBase(ZeroMonoid):
     def _order(self, word):
         return self.base._order(word)
 
-    def iter_order(self, n):
-        return self.base.iter_order(n)
-
     def extend(self, word):
         return self.base.extend(word)
-
-    def walk(self, top):
-        return self.base.walk(top)
 
     def residue(self, word):
         return self.base.residue(word)
@@ -466,6 +443,9 @@ class AdjoinedZero(_OverBase):
     every word-level operation delegates to the base realization.
     """
 
+    def grades(self, top):
+        return self.base.grades(top)
+
     def describe(self):
         return f"{self.base.describe()} with adjoined zero"
 
@@ -485,10 +465,10 @@ class ReesQuotient(_OverBase):
 
     The elements are closed under taking divisors, because the ideal is
     two-sided.  So every element is an extension of an element one order
-    below, and grades are enumerated by a depth-first walk over the
-    base's extensions that stops at ideal members: only elements and
-    their immediate extensions are ever built.  For the same reason the
-    factorizations of an element are its base factorizations.
+    below, and :meth:`extend` keeps the base's extensions outside the
+    ideal: a grade is built from the grade below, never from the whole
+    base grade.  For the same reason the factorizations of an element are
+    its base factorizations.
     """
 
     def __init__(self, base: ZeroMonoid, ideal):
@@ -511,35 +491,9 @@ class ReesQuotient(_OverBase):
             return ZERO
         return z
 
-    def iter_order(self, n):
-        return (word for order, word in self.walk(n) if order == n)
-
     def extend(self, word):
         inside = self.ideal.contains_extension
         return [w for w in self.base.extend(word) if not inside(w)]
-
-    def walk(self, top):
-        """Depth first from the identity; holds one lazily filtered list
-        of the base's extensions per order on the current path.
-
-        Inlines :meth:`extend`, which stays for a quotient of this one."""
-        if top < 0:
-            return
-        base_extend = self.base.extend
-        inside = self.ideal.contains_extension
-        survivors = itertools.filterfalse
-        root = self.identity()
-        yield 0, root
-        path = [survivors(inside, base_extend(root))] if top else []
-        while path:
-            order = len(path)
-            for word in path[-1]:
-                yield order, word
-                if order < top:
-                    path.append(survivors(inside, base_extend(word)))
-                    break
-            else:
-                path.pop()
 
     def residue(self, word):
         return self.base.residue(word), self.ideal.residue(word)

@@ -15,6 +15,7 @@ as well.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -352,7 +353,7 @@ def convolve_oracle(f: Series, g: Series) -> Series:
     ring = f.ring
     cap = min(f.truncation, g.truncation)
     terms = {}
-    for _, x in m.walk(cap):
+    for x in itertools.chain.from_iterable(m.grades(cap)):
         total = ring.zero
         for y, z in m._splits(x):
             a = f.terms.get(y)
@@ -465,7 +466,7 @@ def star_by_powers(f: Series):
 def characteristic_series(m: ZeroMonoid, truncation: int = DEFAULT_TRUNCATION,
                           ring: Ring = INTEGERS) -> Series:
     """Sum of every nonzero element up to the truncation, coefficient one."""
-    terms = {x: ring.one for _, x in m.walk(truncation)}
+    terms = {x: ring.one for grade in m.grades(truncation) for x in grade}
     return Series(m, truncation, terms, ring, _normalized=True)
 
 

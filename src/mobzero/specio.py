@@ -24,7 +24,6 @@ Parsers raise :class:`SpecError` on malformed descriptions and
 from __future__ import annotations
 
 import json
-import os
 import re
 
 from .errors import SpecError
@@ -57,10 +56,12 @@ def read_json_source(source: str) -> dict:
     """
     text = source
     if not source.lstrip().startswith("{"):
-        if not os.path.exists(source):
-            raise SpecError(f"no such file: {source}")
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(source, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:  # missing, a directory, no permission, ...
+            raise SpecError(
+                f"cannot read {source}: {exc.strerror.lower()}") from None
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -76,6 +77,14 @@ def _field(obj: dict, name: str, what: str):
     return obj[name]
 
 
+def _letters(value, what: str) -> list:
+    """A JSON list of letter names; a string or an object would otherwise
+    be read letter by letter or key by key."""
+    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        raise SpecError(f"{what} must be a list of letter names, got {value!r}")
+    return value
+
+
 def _is_integer(value) -> bool:
     """A JSON integer; ``true`` and ``false`` are not numbers here."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -83,10 +92,12 @@ def _is_integer(value) -> bool:
 
 def parse_monoid(obj: dict) -> ZeroMonoid:
     kind = _field(obj, "type", "monoid")
-    if kind == "free":
-        return FreeMonoid(Alphabet(_field(obj, "alphabet", "monoid")))
-    if kind == "free-commutative":
-        return FreeCommutativeMonoid(Alphabet(_field(obj, "alphabet", "monoid")))
+    if kind in ("free", "free-commutative"):
+        alphabet = Alphabet(_letters(_field(obj, "alphabet", "monoid"),
+                                     "an alphabet"))
+        if kind == "free":
+            return FreeMonoid(alphabet)
+        return FreeCommutativeMonoid(alphabet)
     if kind == "adjoin-zero":
         return AdjoinedZero(parse_monoid(_field(obj, "base", "monoid")))
     if kind == "rees":
@@ -122,7 +133,8 @@ def parse_ideal(obj: dict, base: ZeroMonoid) -> IdealSpec:
         raw = _field(obj, "words", "generated ideal")
         if not isinstance(raw, list):
             raise SpecError(f"generator list must be a list, got {raw!r}")
-        words = [base.word_from_letters(entry) for entry in raw]
+        words = [base.word_from_letters(_letters(entry, "a generator"))
+                 for entry in raw]
         return GeneratedIdeal(base, words)
     if kind == "degree-at-least":
         d = _field(obj, "d", "degree-at-least ideal")
@@ -178,7 +190,7 @@ def parse_series(obj: dict, monoid: ZeroMonoid, ring: Ring = INTEGERS,
             coeff = ring.from_int(int(coeff_text))
         except ValueError as exc:  # beyond the interpreter's digit limit
             raise SpecError(f"coefficient is too long: {exc}") from None
-        word = monoid.word_from_letters(letters)
+        word = monoid.word_from_letters(_letters(letters, "a term's word"))
         monoid._require(word)
         if monoid._order(word) > truncation:
             raise SpecError(

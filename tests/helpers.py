@@ -4,12 +4,14 @@ The oracles here deliberately avoid the code paths they are used to
 check: the Mobius oracle inverts the characteristic series by a
 grade-by-grade linear solve over factorizations instead of the star
 route, the falling-factorial counter predicts no-repeat word counts
-arithmetically instead of by enumeration, the survivor filter lists
-a quotient's grade by testing every base word instead of extending the
-grade below, the walk counter counts every element instead of one word
-per residue class, and the factorization filter tests both factors of
-every base factorization for membership in the quotient.
+arithmetically instead of by enumeration, the element filter lists a
+grade by testing every word of the root base instead of extending the
+grade below, the filter counter counts every element instead of one
+word per residue class, and the factorization filter tests both factors
+of every base factorization for membership in the quotient.
 """
+
+import itertools
 
 from mobzero import (
     AdjoinedZero,
@@ -24,6 +26,7 @@ from mobzero import (
     ReesQuotient,
     RepeatedLetterIdeal,
     Series,
+    commutative_image,
 )
 
 LETTERS = ("a", "b", "c", "d")
@@ -84,7 +87,7 @@ def mobius_by_triangular_solve(m, truncation, ring=INTEGERS):
     identity = m.identity()
     mu = {identity: ring.one}
     for n in range(1, truncation + 1):
-        for x in m.iter_order(n):
+        for x in elements_by_filter(m, n):
             total = ring.zero
             for y, z in m.factorizations(x):
                 if z == identity:
@@ -98,20 +101,26 @@ def mobius_by_triangular_solve(m, truncation, ring=INTEGERS):
     return Series(m, truncation, mu, ring)
 
 
-def survivors_by_filter(quotient, n):
-    """The base words of order n outside the quotient's ideal, in the
-    base's order: every base word is built and tested with ``contains``."""
-    contains = quotient.ideal.contains
-    return [w for w in quotient.base.iter_order(n) if not contains(w)]
+def elements_by_filter(m, n):
+    """The elements of order n in display order: every word of order n
+    of the root base (the free or free commutative monoid under all
+    wrappers and quotients) is built and tested with ``m.contains``."""
+    root = m
+    while hasattr(root, "base"):
+        root = root.base
+    k = len(root.alphabet())
+    if isinstance(root, FreeCommutativeMonoid):
+        words = (commutative_image(c, k) for c in
+                 itertools.combinations_with_replacement(range(k), n))
+    else:
+        words = itertools.product(range(k), repeat=n)
+    return [w for w in words if m.contains(w)]
 
 
-def counts_by_walk(m, top):
-    """Number of nonzero elements of each order 0..top, one walk over
-    every element."""
-    counts = [0] * (top + 1)
-    for n, _ in m.walk(top):
-        counts[n] += 1
-    return tuple(counts)
+def counts_by_filter(m, top):
+    """Number of nonzero elements of each order 0..top, every element
+    listed by :func:`elements_by_filter`."""
+    return tuple(len(elements_by_filter(m, n)) for n in range(top + 1))
 
 
 def factorizations_by_filter(quotient, x):

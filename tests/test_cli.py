@@ -242,6 +242,16 @@ def test_validation_failures_exit_one(capsys):
     assert "order" in err
 
 
+def test_directory_path_exits_one(tmp_path, capsys):
+    code, out, err = run(capsys, "mobius", "--monoid", str(tmp_path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: cannot read") and "directory" in err
+    code, _, err = run(capsys, "mul", "--monoid", FREE_AB,
+                       "--series", str(tmp_path), "--series", str(tmp_path))
+    assert code == 1
+    assert err.startswith("error: cannot read") and "directory" in err
+
+
 def test_unknown_letter_in_series_exits_one(tmp_path, capsys):
     series = write_series(tmp_path, "f.json", {
         "truncation": 4, "terms": [["1", ["z"]]]})

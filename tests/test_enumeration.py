@@ -1,9 +1,10 @@
-"""Grade enumeration of Rees quotients by extending survivors, checked
-against the filter over every base word; residue classes, which
-``hilbert_prefix`` counts by, checked against the walk over every
-element; quotient factorizations checked against the filtered base
+"""Grade enumeration by extending the grade below, checked against the
+filter over every word of the root base; residue classes, which
+``hilbert_prefix`` counts by, checked against that filter's counts;
+quotient factorizations checked against the filtered base
 factorizations."""
 
+import itertools
 import json
 import random
 from collections import Counter
@@ -33,10 +34,10 @@ from helpers import (
     alphabet,
     builtin_free_ideals,
     commutative,
-    counts_by_walk,
+    counts_by_filter,
+    elements_by_filter,
     factorizations_by_filter,
     free,
-    survivors_by_filter,
 )
 
 TOP = 7
@@ -113,17 +114,18 @@ def test_equal_residues_have_equal_extension_residues(k):
     for seed in range(3):
         for m in residue_monoids(k, seed):
             first = {}
-            for n, word in m.walk(6):
-                residues = Counter(map(m.residue, m.extend(word)))
-                assert first.setdefault((n, m.residue(word)), residues) \
-                    == residues, (m.describe(), word)
+            for n, grade in enumerate(m.grades(6)):
+                for word in grade:
+                    residues = Counter(map(m.residue, m.extend(word)))
+                    assert first.setdefault((n, m.residue(word)), residues) \
+                        == residues, (m.describe(), word)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_hilbert_prefix_matches_walk_counts(k):
     for seed in range(3):
         for m in residue_monoids(k, seed):
-            assert hilbert_prefix(m, 8).counts == counts_by_walk(m, 8), \
+            assert hilbert_prefix(m, 8).counts == counts_by_filter(m, 8), \
                 m.describe()
             assert hilbert_prefix(m, 0).counts == (1,)
 
@@ -132,18 +134,20 @@ def test_hilbert_prefix_matches_walk_counts(k):
 def test_quotient_factorizations_are_the_filtered_base_ones(k):
     for seed in range(3):
         for q in builtin_quotients(k, seed) + quotients_of_quotients(k, seed):
-            for _, x in q.walk(6):
+            for x in itertools.chain.from_iterable(q.grades(6)):
                 assert q.factorizations(x) == factorizations_by_filter(q, x), \
                     (q.describe(), x)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_iter_order_matches_filter_in_order(k):
+def test_grades_are_in_display_order_and_match_filter(k):
     for seed in range(3):
-        for q in builtin_quotients(k, seed):
-            for n in range(TOP + 1):
-                assert list(q.iter_order(n)) == survivors_by_filter(q, n), \
-                    (q.describe(), n)
+        for m in residue_monoids(k, seed):
+            grades = m.grades(TOP)
+            for n, grade in enumerate(grades):
+                assert grade == sorted(grade, key=m.sort_key), (m.describe(), n)
+                assert grade == elements_by_filter(m, n), (m.describe(), n)
+            assert AdjoinedZero(m).grades(TOP) == grades, m.describe()
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -151,8 +155,8 @@ def test_contains_extension_agrees_with_contains(k):
     for seed in range(3):
         for q in builtin_quotients(k, seed):
             ideal = q.ideal
-            for n in range(TOP):
-                for parent in q.iter_order(n):
+            for grade in q.grades(TOP - 1):
+                for parent in grade:
                     for word in q.base.extend(parent):
                         assert (ideal.contains_extension(word)
                                 == ideal.contains(word)), (q.describe(), word)
@@ -162,33 +166,14 @@ def test_extend_lists_one_order_up_from_a_divisor():
     for m in (free(3), commutative(3)):
         seen = []
         for n in range(5):
-            for parent in m.iter_order(n):
+            for parent in elements_by_filter(m, n):
                 for word in m.extend(parent):
                     assert m._order(word) == n + 1
                     assert any(y == parent for y, _ in m.factorizations(word))
                     seen.append(word)
-        expected = [w for n in range(1, 6) for w in m.iter_order(n)]
+        expected = [w for n in range(1, 6) for w in elements_by_filter(m, n)]
         assert sorted(seen) == sorted(expected)
         assert len(set(seen)) == len(seen)
-
-
-def test_walk_covers_every_grade_once():
-    for k in (2, 3):
-        for q in builtin_quotients(k, seed=0):
-            walked = sorted(q.walk(TOP))
-            expected = sorted((n, w) for n in range(TOP + 1)
-                              for w in survivors_by_filter(q, n))
-            assert walked == expected, q.describe()
-
-
-def test_walk_defaults_to_grade_after_grade():
-    assert list(free(2).walk(2)) == [
-        (0, ()), (1, (0,)), (1, (1,)),
-        (2, (0, 0)), (2, (0, 1)), (2, (1, 0)), (2, (1, 1))]
-    q = ReesQuotient(free(2), MinLengthIdeal(free(2), 2))
-    for m in (free(2), q):
-        assert list(m.walk(-1)) == []
-        assert [w for n, w in m.walk(0)] == [()]
 
 
 def test_grades_match_elements_of_order():
@@ -198,18 +183,18 @@ def test_grades_match_elements_of_order():
             assert q.grades(TOP) == expected, q.describe()
     for m in (free(2), commutative(3)):
         assert m.grades(4) == [m.elements_of_order(n) for n in range(5)]
-    assert free(2).grades(-1) == []
-
-
-def test_adjoined_zero_walks_its_quotient_base():
-    q = ReesQuotient(free(3), RepeatedLetterIdeal(free(3)))
-    assert list(AdjoinedZero(q).walk(TOP)) == list(q.walk(TOP))
+    assert free(2).grades(2) == [
+        [()], [(0,), (1,)], [(0, 0), (0, 1), (1, 0), (1, 1)]]
+    q = ReesQuotient(free(2), MinLengthIdeal(free(2), 2))
+    for m in (free(2), commutative(2), q):
+        assert m.grades(-1) == []
+        assert m.grades(0) == [[m.identity()]]
 
 
 def test_grade_consumers_see_every_survivor():
     rng = random.Random(5)
     for q in builtin_quotients(3, seed=2):
-        survivors = {w for n in range(6) for w in survivors_by_filter(q, n)}
+        survivors = {w for n in range(6) for w in elements_by_filter(q, n)}
         assert set(characteristic_series(q, 5).terms) == survivors
         f = random_series(rng, q, 5)
         g = random_series(rng, q, 5)
@@ -227,7 +212,7 @@ def test_count_command_lists_sorted_survivors(capsys):
     q = ReesQuotient(base, GeneratedIdeal(base, [(0, 1), (2, 2)]))
     assert [o["order"] for o in orders] == list(range(6))
     for n, entry in enumerate(orders):
-        expected = sorted(survivors_by_filter(q, n), key=q.sort_key)
+        expected = sorted(elements_by_filter(q, n), key=q.sort_key)
         assert entry["count"] == len(expected)
         assert entry["elements"] == [q.word_letters(w) for w in expected]
 
@@ -238,12 +223,11 @@ def test_quotient_of_a_quotient():
     for ideal in (RepeatedLetterIdeal(inner),
                   GeneratedIdeal(inner, [(0, 1), (2, 2)])):
         outer = ReesQuotient(inner, ideal)
-        for n in range(TOP + 1):
-            expected = [w for w in base.iter_order(n)
+        for n, grade in enumerate(outer.grades(TOP)):
+            expected = [w for w in itertools.product(range(3), repeat=n)
                         if not inner.ideal.contains(w)
                         and not ideal.contains(w)]
-            assert list(outer.iter_order(n)) == expected
-            assert list(outer.iter_order(n)) == survivors_by_filter(outer, n)
+            assert grade == expected
 
 
 class EnumerableOnly(ZeroMonoid):
@@ -267,8 +251,8 @@ class EnumerableOnly(ZeroMonoid):
     def _order(self, word):
         return len(word)
 
-    def iter_order(self, n):
-        return iter([(0,) * n])
+    def grades(self, top):
+        return [[(0,) * n] for n in range(top + 1)]
 
 
 def test_monoid_without_key_equals_only_itself():
@@ -281,11 +265,10 @@ def test_monoid_without_key_equals_only_itself():
 def test_quotient_over_base_without_extend_cannot_enumerate():
     base = EnumerableOnly()
     q = ReesQuotient(base, MinLengthIdeal(base, 3))
-    assert list(q.iter_order(0)) == [()]
+    assert base.grades(2) == [[()], [(0,)], [(0, 0)]]
+    assert q.grades(0) == [[()]]
     with pytest.raises(InfiniteGradeError):
-        list(q.iter_order(1))
-    with pytest.raises(InfiniteGradeError):
-        list(q.walk(2))
+        q.grades(1)
 
 
 def test_hilbert_prefix_needs_extend():

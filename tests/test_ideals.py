@@ -120,7 +120,7 @@ def test_ev_preimage_consistency_exhaustive():
     inner = DegreeAtLeastIdeal(commutative(2), 3)
     ideal = EvPreimageIdeal(base, inner)
     for n in range(7):
-        for word in base.iter_order(n):
+        for word in base.elements_of_order(n):
             assert ideal.contains(word) == inner.contains(
                 commutative_image(word, 2))
 

@@ -362,8 +362,8 @@ class IdempotentMonoid(ZeroMonoid):
     def _order(self, word):
         return len(word)
 
-    def iter_order(self, n):
-        return iter([(), (0,)][n:n + 1]) if n <= 1 else iter(())
+    def extend(self, word):
+        return [(0,)] if word == () else []
 
 
 def test_validator_reports_idempotent():

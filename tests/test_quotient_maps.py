@@ -45,7 +45,7 @@ def ideal_indicator(ctx, truncation):
     """Characteristic series of the ideal inside the base algebra."""
     terms = {}
     for n in range(truncation + 1):
-        for word in ctx.base.iter_order(n):
+        for word in ctx.base.elements_of_order(n):
             if ctx.ideal.contains(word):
                 terms[word] = 1
     return Series(ctx.base, truncation, terms)

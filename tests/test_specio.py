@@ -63,6 +63,14 @@ def test_parse_rejects_unknown_type():
         parse_monoid({"type": "free", "alphabet": []})
 
 
+@pytest.mark.parametrize("alphabet", ["ab", {"a": 1, "b": 2}],
+                         ids=["string", "object"])
+@pytest.mark.parametrize("kind", ["free", "free-commutative"])
+def test_parse_rejects_alphabet_that_is_not_a_list(kind, alphabet):
+    with pytest.raises(SpecError):
+        parse_monoid({"type": kind, "alphabet": alphabet})
+
+
 def test_parse_rejects_non_proper_rees():
     spec = {
         "type": "rees",
@@ -87,6 +95,11 @@ def test_parse_each_ideal_kind():
     ]
     for obj, expected in cases:
         assert parse_ideal(obj, base) == expected
+
+
+def test_parse_ideal_rejects_generator_that_is_not_a_list():
+    with pytest.raises(SpecError):
+        parse_ideal({"kind": "generated", "words": ["ab"]}, free(2))
 
 
 def test_parse_ideal_errors():
@@ -174,6 +187,11 @@ def test_parse_series_rejects_bad_terms():
     with pytest.raises(MembershipError):
         # aa collapses to zero in standard words
         parse_series({"truncation": 3, "terms": [["1", ["a", "a"]]]}, m)
+
+
+def test_parse_series_rejects_word_that_is_not_a_list():
+    with pytest.raises(SpecError):
+        parse_series({"truncation": 2, "terms": [["1", "ab"]]}, free(2))
 
 
 @pytest.mark.parametrize("bound", [True, False])
