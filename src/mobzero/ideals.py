@@ -54,6 +54,18 @@ class IdealSpec(ABC):
         """
         return self.contains(word)
 
+    def contains_product(self, x: Word, z: Word) -> bool:
+        """``contains(z)`` for a base product z = xy, where x and y are
+        both known to lie outside the ideal.
+
+        Every factor of z that lies within x or within y is outside the
+        ideal, so an override need only check the factors that cross the
+        seam between them.  :meth:`contains_extension` is the case of a
+        y of order 1; it stays apart because its single new factor is a
+        suffix, which is cheaper to test than a seam.
+        """
+        return self.contains(z)
+
     def residue(self, word: Word):
         """What of ``word`` membership of its extensions depends on, given
         their order and the base's residue; see :meth:`ZeroMonoid.residue`.
@@ -97,6 +109,10 @@ class RepeatedLetterIdeal(IdealSpec):
 
     def contains_extension(self, word: Word) -> bool:
         return word[-1] in word[:-1]
+
+    def contains_product(self, x: Word, z: Word) -> bool:
+        # neither factor repeats a letter, so only a shared one can
+        return not set(x).isdisjoint(z[len(x):])
 
     def residue(self, word: Word):
         return frozenset(word)
@@ -168,6 +184,17 @@ class GeneratedIdeal(IdealSpec):
         for g in self.generators:
             if word[n - len(g):] == g:
                 return True
+        return False
+
+    def contains_product(self, x: Word, z: Word) -> bool:
+        # a window crossing the seam ends 1 to _memory letters after it.
+        # One that starts in y is a factor of y and never matches; a start
+        # below 0 wraps around and slices fewer than len(g) letters.
+        n = len(x)
+        for end in range(n + 1, min(n + self._memory, len(z)) + 1):
+            for g in self.generators:
+                if z[end - len(g):end] == g:
+                    return True
         return False
 
     def residue(self, word: Word):

@@ -67,11 +67,13 @@ class Alphabet:
         self._index = {name: i for i, name in enumerate(self.letters)}
         self._single_char = all(len(name) == 1 for name in self.letters)
 
-    def index(self, name: str) -> int:
+    def spell(self, names: Iterable[str]) -> tuple:
+        """Indices of the named letters."""
         try:
-            return self._index[name]
-        except KeyError:
-            raise SpecError(f"unknown letter {name!r}; alphabet is {list(self.letters)}") from None
+            return tuple(map(self._index.__getitem__, names))
+        except KeyError as exc:
+            raise SpecError(f"unknown letter {exc.args[0]!r}; "
+                            f"alphabet is {list(self.letters)}") from None
 
     def join(self, names: Iterable[str]) -> str:
         # single-char alphabets render words as plain strings; otherwise use
@@ -250,12 +252,30 @@ class ZeroMonoid(ABC):
 
     def word_letters(self, word: Word) -> list:
         """Word as a list of letter names (vector words are expanded)."""
-        alpha = self.alphabet()
-        return [alpha[i] for i in self.sort_key(word)]
+        return list(map(self.alphabet().letters.__getitem__,
+                        self.sort_key(word)))
 
     def word_from_letters(self, names: Iterable[str]) -> Word:
-        alpha = self.alphabet()
-        return tuple(alpha.index(name) for name in names)
+        """The element spelled by letter names, built in one step.
+
+        Raises :class:`SpecError` on a name outside the alphabet and
+        :class:`MembershipError` when the spelled word is not an element.
+        """
+        word = self._spell(names)
+        if self._collapses(word):
+            raise MembershipError(
+                f"{word!r} is not an element of {self.describe()}")
+        return word
+
+    def _spell(self, names: Iterable[str]) -> Word:
+        """The word of the root base spelled by letter names; always a
+        word of that base."""
+        return self.alphabet().spell(names)
+
+    def _collapses(self, word: Word) -> bool:
+        """Whether a word from :meth:`_spell` lies in an ideal collapsed
+        to zero here: the only way it can fail to be an element."""
+        return False
 
     def render_word(self, word: Word) -> str:
         if word == self.identity():
@@ -379,10 +399,8 @@ class FreeCommutativeMonoid(ZeroMonoid):
         # expanded letter sequence: (2, 1) over {a, b} sorts and prints as "aab"
         return tuple(i for i, e in enumerate(word) for _ in range(e))
 
-    def word_from_letters(self, names):
-        alpha = self.alphabet()
-        return commutative_image(tuple(alpha.index(n) for n in names),
-                                 self._size)
+    def _spell(self, names):
+        return commutative_image(super()._spell(names), self._size)
 
     def describe(self) -> str:
         return f"free commutative monoid on {{{', '.join(self._alphabet)}}}"
@@ -432,8 +450,11 @@ class _OverBase(ZeroMonoid):
     def sort_key(self, word):
         return self.base.sort_key(word)
 
-    def word_from_letters(self, names):
-        return self.base.word_from_letters(names)
+    def _spell(self, names):
+        return self.base._spell(names)
+
+    def _collapses(self, word):
+        return self.base._collapses(word)
 
 
 class AdjoinedZero(_OverBase):
@@ -487,13 +508,16 @@ class ReesQuotient(_OverBase):
 
     def _mul(self, x, y):
         z = self.base._mul(x, y)
-        if z is ZERO or self.ideal.contains(z):
+        if z is ZERO or self.ideal.contains_product(x, z):
             return ZERO
         return z
 
     def extend(self, word):
         inside = self.ideal.contains_extension
         return [w for w in self.base.extend(word) if not inside(w)]
+
+    def _collapses(self, word):
+        return self.base._collapses(word) or self.ideal.contains(word)
 
     def residue(self, word):
         return self.base.residue(word), self.ideal.residue(word)

@@ -182,9 +182,9 @@ class Series:
         return min(self.monoid._order(w) for w in self.terms)
 
     def items_sorted(self) -> list:
-        m = self.monoid
+        order, sort_key = self.monoid._order, self.monoid.sort_key
         return sorted(self.terms.items(),
-                      key=lambda kv: (m._order(kv[0]), m.sort_key(kv[0])))
+                      key=lambda kv: (order(kv[0]), sort_key(kv[0])))
 
     def truncated(self, truncation: int) -> "Series":
         """Project to a lower truncation order."""

@@ -133,8 +133,8 @@ def parse_ideal(obj: dict, base: ZeroMonoid) -> IdealSpec:
         raw = _field(obj, "words", "generated ideal")
         if not isinstance(raw, list):
             raise SpecError(f"generator list must be a list, got {raw!r}")
-        words = [base.word_from_letters(_letters(entry, "a generator"))
-                 for entry in raw]
+        # GeneratedIdeal rejects a generator outside the base itself
+        words = [base._spell(_letters(entry, "a generator")) for entry in raw]
         return GeneratedIdeal(base, words)
     if kind == "degree-at-least":
         d = _field(obj, "d", "degree-at-least ideal")
@@ -191,7 +191,6 @@ def parse_series(obj: dict, monoid: ZeroMonoid, ring: Ring = INTEGERS,
         except ValueError as exc:  # beyond the interpreter's digit limit
             raise SpecError(f"coefficient is too long: {exc}") from None
         word = monoid.word_from_letters(_letters(letters, "a term's word"))
-        monoid._require(word)
         if monoid._order(word) > truncation:
             raise SpecError(
                 f"term {letters!r} has order {monoid._order(word)}, beyond "

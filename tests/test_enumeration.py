@@ -2,7 +2,8 @@
 filter over every word of the root base; residue classes, which
 ``hilbert_prefix`` counts by, checked against that filter's counts;
 quotient factorizations checked against the filtered base
-factorizations."""
+factorizations; membership of extensions and of quotient products,
+tested at the seam, checked against full membership."""
 
 import itertools
 import json
@@ -10,6 +11,7 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mobzero import (
     AdjoinedZero,
@@ -21,6 +23,7 @@ from mobzero import (
     MinLengthIdeal,
     ReesQuotient,
     RepeatedLetterIdeal,
+    ZERO,
     ZeroMonoid,
     cauchy_product,
     characteristic_series,
@@ -160,6 +163,53 @@ def test_contains_extension_agrees_with_contains(k):
                     for word in q.base.extend(parent):
                         assert (ideal.contains_extension(word)
                                 == ideal.contains(word)), (q.describe(), word)
+
+
+def products(q, top):
+    """Every pair of elements x, y of q whose orders sum to at most top,
+    as (x, z) with z the base product xy when that is not ZERO: what
+    ``ReesQuotient._mul`` asks the ideal about."""
+    grades = q.grades(top)
+    for i, left in enumerate(grades):
+        for right in grades[:top + 1 - i]:
+            for x in left:
+                for y in right:
+                    z = q.base._mul(x, y)
+                    if z is not ZERO:
+                        yield x, z
+
+
+def assert_seam_agrees(q, top):
+    ideal = q.ideal
+    for x, z in products(q, top):
+        assert ideal.contains_product(x, z) == ideal.contains(z), \
+            (q.describe(), x, z)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_contains_product_agrees_with_contains(k):
+    for seed in range(3):
+        for q in builtin_quotients(k, seed) + quotients_of_quotients(k, seed):
+            assert_seam_agrees(q, 6)
+
+
+def test_generated_seam_covers_generators_of_every_length():
+    base = free(3)
+    for generators in ([(2,)], [(0, 1)], [(0, 1, 0)], [(1, 2, 0)],
+                       [(2,), (0, 1), (1, 0, 1)], [(0, 0), (1, 2, 1)]):
+        assert_seam_agrees(
+            ReesQuotient(base, GeneratedIdeal(base, generators)), 6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_generated_seam_on_random_generators(data):
+    k = data.draw(st.integers(2, 3))
+    word = st.lists(st.integers(0, k - 1), min_size=1, max_size=3).map(tuple)
+    generators = data.draw(st.lists(word, min_size=1, max_size=4))
+    for base in (free(k), ReesQuotient(free(k), MinLengthIdeal(free(k), 5))):
+        assert_seam_agrees(
+            ReesQuotient(base, GeneratedIdeal(base, generators)), 5)
 
 
 def test_extend_lists_one_order_up_from_a_divisor():

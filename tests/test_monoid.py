@@ -33,7 +33,7 @@ def words(m, texts):
 def test_alphabet_basics():
     alpha = Alphabet(["a", "b", "c"])
     assert len(alpha) == 3
-    assert alpha.index("b") == 1
+    assert alpha.spell(["b", "a"]) == (1, 0)
     assert alpha[2] == "c"
     assert list(alpha) == ["a", "b", "c"]
 
@@ -58,7 +58,7 @@ def test_alphabet_rejects_bad_input():
     with pytest.raises(SpecError):
         Alphabet(["a", 3])
     with pytest.raises(SpecError):
-        Alphabet(["a"]).index("z")
+        Alphabet(["a"]).spell(["a", "z"])
 
 
 # -- zero sentinel ----------------------------------------------------------

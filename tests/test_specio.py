@@ -1,4 +1,5 @@
 import json
+import random
 import sys
 
 import pytest
@@ -21,11 +22,14 @@ from mobzero import (
     parse_ideal,
     parse_monoid,
     parse_series,
+    random_series,
     read_json_source,
     series_to_json,
 )
 
-from helpers import commutative, free, standard_words
+from mobzero.cli import main
+
+from helpers import builtin_monoids, commutative, free, standard_words
 
 STANDARD = {
     "type": "rees",
@@ -187,6 +191,49 @@ def test_parse_series_rejects_bad_terms():
     with pytest.raises(MembershipError):
         # aa collapses to zero in standard words
         parse_series({"truncation": 3, "terms": [["1", ["a", "a"]]]}, m)
+
+
+def test_unknown_letter_error_names_the_letter_and_the_alphabet(capsys):
+    with pytest.raises(SpecError) as err:
+        parse_series({"truncation": 3, "terms": [["1", ["a", "z"]]]},
+                     standard_words())
+    assert str(err.value) == "unknown letter 'z'; alphabet is ['a', 'b', 'c']"
+    series = json.dumps({"truncation": 3, "terms": [["1", ["z"]]]})
+    assert main(["star", "--monoid", json.dumps(STANDARD), "--order", "3",
+                 "--series", series]) == 1
+    assert capsys.readouterr().err == (
+        "error: unknown letter 'z'; alphabet is ['a', 'b', 'c']\n")
+
+
+def test_term_inside_the_ideal_names_the_quotient():
+    with pytest.raises(MembershipError) as err:
+        parse_series({"truncation": 3, "terms": [["1", ["b", "b"]]]},
+                     standard_words())
+    assert str(err.value) == (
+        "(1, 1) is not an element of Rees quotient of free monoid on "
+        "{a, b, c} by repeated-letter ideal")
+
+
+@pytest.mark.parametrize("wrap", [False, True])
+def test_term_inside_the_inner_ideal_names_the_outer_monoid(wrap):
+    outer = {"type": "rees", "base": STANDARD,
+             "ideal": {"kind": "generated", "words": [["a", "b"]]}}
+    if wrap:
+        outer = {"type": "adjoin-zero", "base": outer}
+    m = parse_monoid(outer)
+    for letters, word in ((["c", "c"], (2, 2)), (["a", "b"], (0, 1))):
+        with pytest.raises(MembershipError) as err:
+            parse_series({"truncation": 3, "terms": [["1", letters]]}, m)
+        assert str(err.value) == (
+            f"{word!r} is not an element of {m.describe()}")
+
+
+def test_series_json_roundtrips_on_every_builtin_monoid():
+    rng = random.Random(11)
+    for m in builtin_monoids(3):
+        for _ in range(5):
+            f = random_series(rng, m, 5, max_support_order=5)
+            assert parse_series(series_to_json(f), m) == f, m.describe()
 
 
 def test_parse_series_rejects_word_that_is_not_a_list():
