@@ -235,7 +235,7 @@ class ZeroMonoid(ABC):
             raise ValueError(f"order must be nonnegative, got {n}")
         return self.grades(n)[n]
 
-    def _splits(self, x: Word) -> Iterable:
+    def _splits(self, x: Word) -> list:
         raise InfiniteGradeError(
             f"{self.describe()} cannot enumerate factorizations")
 

@@ -349,23 +349,32 @@ def convolve_oracle(f: Series, g: Series) -> Series:
     be checked against each other; requires an enumerable monoid.
     """
     _check_compatible(f, g)
-    m = f.monoid
-    ring = f.ring
     cap = min(f.truncation, g.truncation)
-    terms = {}
+    return _convolve_pairs(f.monoid, f.ring, cap, [(f, g)])[0]
+
+
+def _convolve_pairs(m: ZeroMonoid, ring: Ring, cap: int, pairs: list) -> list:
+    """The product of every pair (f, g) at truncation ``cap``, in one pass
+    over the elements: each element's factorizations are listed once and
+    summed against every pair before the next element is listed."""
+    radd, rmul, rzero = ring.add, ring.mul, ring.zero
+    lookups = [(f.terms.get, g.terms.get, {}) for f, g in pairs]
     for x in itertools.chain.from_iterable(m.grades(cap)):
-        total = ring.zero
-        for y, z in m._splits(x):
-            a = f.terms.get(y)
-            if a is None:
-                continue
-            b = g.terms.get(z)
-            if b is None:
-                continue
-            total = ring.add(total, ring.mul(a, b))
-        if total != ring.zero:
-            terms[x] = total
-    return Series(m, cap, terms, ring, _normalized=True)
+        splits = m._splits(x)
+        for f_get, g_get, terms in lookups:
+            total = rzero
+            for y, z in splits:
+                a = f_get(y)
+                if a is None:
+                    continue
+                b = g_get(z)
+                if b is None:
+                    continue
+                total = radd(total, rmul(a, b))
+            if total != rzero:
+                terms[x] = total
+    return [Series(m, cap, terms, ring, _normalized=True)
+            for _, _, terms in lookups]
 
 
 def power(f: Series, k: int) -> Series:
@@ -390,15 +399,9 @@ def _require_proper(f: Series):
 def star(f: Series, return_power_count: bool = False):
     """Inverse of (1 - f) for a proper series f, solved grade by grade.
 
-    The star s satisfies s = 1 + s*f.  When the order is superadditive
-    (ord(xy) >= ord(x) + ord(y)) and f is proper, every term of f has
-    order at least 1, so each product x*y with x in grade i of s lands in
-    a grade strictly above i.  One pass over grades 0..N therefore
-    suffices: when the pass reaches grade i, every contribution to it has
-    arrived, so the grade is final; its terms are then multiplied against
-    the terms of f of order at most N - i and each product is added into
-    the grade where it lands.  The cost is about sum_i |s_i| * |f_{<=N-i}|
-    pairs, which is small when s is sparse, as Mobius series are.
+    The star s satisfies s = 1 + s*f.  The terms of f are bucketed by
+    order and handed to :func:`_solve_star`, which seeds the identity
+    grade of s instead of multiplying it against f.
 
     With ``return_power_count`` the result comes from
     :func:`star_by_powers` instead, together with its power count.
@@ -406,26 +409,38 @@ def star(f: Series, return_power_count: bool = False):
     if return_power_count:
         return star_by_powers(f)
     _require_proper(f)
-    m = f.monoid
-    ring = f.ring
-    cap = f.truncation
+    order = f.monoid._order
+    by_order = [[] for _ in range(f.truncation)]
+    for w, c in f.terms.items():
+        by_order[order(w) - 1].append((w, c))
+    return _solve_star(f.monoid, f.truncation, f.ring, by_order)
+
+
+def _solve_star(m: ZeroMonoid, cap: int, ring: Ring, by_order: list) -> Series:
+    """Star of the proper series whose terms of order j are the
+    (word, coefficient) pairs of ``by_order[j - 1]``, for j = 1..cap.
+
+    When the order is superadditive (ord(xy) >= ord(x) + ord(y)), every
+    product x*y with x in grade i of s and y of order at least 1 lands in
+    a grade strictly above i.  Grade 0 of s is the identity, and 1*y = y,
+    so the pending grades start as the buckets themselves.  One pass over
+    grades 1..cap then suffices: when the pass reaches grade i, every
+    contribution to it has arrived, so the grade is final; its terms are
+    multiplied against the terms of order at most cap - i and each
+    product is added into the grade where it lands.  The cost is about
+    sum over i >= 1 of |s_i| * |f_{<=cap-i}| pairs, which is small when s
+    is sparse, as Mobius series are.
+    """
     mul, order = m._mul, m._order
     radd, rmul, rzero = ring.add, ring.mul, ring.zero
-    f_by_order = {}
-    for w, c in f.terms.items():
-        f_by_order.setdefault(order(w), []).append((w, c))
-    f_orders = sorted(f_by_order)
-    pending = [{} for _ in range(cap + 1)]
-    pending[0][m.identity()] = ring.one
-    terms = {}
-    for i in range(cap + 1):
+    pending = [None] + [dict(bucket) for bucket in by_order]
+    terms = {m.identity(): ring.one}
+    for i in range(1, cap + 1):
         grade = [(x, a) for x, a in pending[i].items() if a != rzero]
         pending[i] = None
         terms.update(grade)
-        for j in f_orders:
-            if i + j > cap:
-                break
-            for y, b in f_by_order[j]:
+        for bucket in by_order[:cap - i]:
+            for y, b in bucket:
                 for x, a in grade:
                     z = mul(x, y)
                     if z is ZERO:
@@ -479,10 +494,16 @@ def proper_part(f: Series) -> Series:
 
 def mobius_series(m: ZeroMonoid, truncation: int = DEFAULT_TRUNCATION,
                   ring: Ring = INTEGERS) -> Series:
-    """Inverse of the characteristic series, via the star of its negated
-    proper part."""
-    zeta = characteristic_series(m, truncation, ring)
-    return star(-proper_part(zeta))
+    """Inverse of the characteristic series: the star of -zeta+, where
+    zeta+ sums every element of order 1..N.
+
+    The grades of m are handed to :func:`_solve_star` directly, each
+    element with coefficient -1, so no characteristic series is built.
+    """
+    neg_one = ring.neg(ring.one)
+    grades = m.grades(truncation)[1:]
+    return _solve_star(m, truncation, ring,
+                       [[(x, neg_one) for x in grade] for grade in grades])
 
 
 def zeta_transform_left(f: Series) -> Series:
@@ -568,16 +589,18 @@ def check_oracle_equivalence(m: ZeroMonoid, truncation: int = 6,
                              ring: Ring = INTEGERS, samples: int = 20,
                              seed: int = 0) -> Report:
     """Compare the pair-loop product against the factorization-based one
-    on seeded random series pairs."""
+    on seeded random series pairs; the factorizations of each element are
+    listed once and shared by every pair."""
     import random
 
     rng = random.Random(seed)
+    pairs = [(random_series(rng, m, truncation, ring=ring),
+              random_series(rng, m, truncation, ring=ring))
+             for _ in range(samples)]
+    slows = _convolve_pairs(m, ring, truncation, pairs)
     violations = []
-    for i in range(samples):
-        f = random_series(rng, m, truncation, ring=ring)
-        g = random_series(rng, m, truncation, ring=ring)
+    for i, ((f, g), slow) in enumerate(zip(pairs, slows)):
         fast = cauchy_product(f, g)
-        slow = convolve_oracle(f, g)
         if fast != slow:
             violations.append(
                 f"pair {i}: products disagree ({first_difference(fast, slow)})")

@@ -15,8 +15,11 @@ series      {"truncation": 8, "terms": [["1", []], ["-1", ["a"]]]}
 
 Series coefficients travel as decimal strings (ASCII digits with an
 optional leading minus sign, nothing else) so arbitrary-precision
-integers survive any JSON implementation.  Words travel as letter-name
-lists; for commutative monoids the list is the sorted letter multiset.
+integers survive any JSON implementation.  Over the rationals a
+coefficient may also be a fraction ``p/q`` as ``str(Fraction)`` writes
+it: a decimal numerator, a slash and an unsigned denominator of at least
+2, in lowest terms.  Words travel as letter-name lists; for commutative
+monoids the list is the sorted letter multiset.
 Parsers raise :class:`SpecError` on malformed descriptions and
 :class:`MembershipError` on words that fail to belong.
 """
@@ -24,7 +27,9 @@ Parsers raise :class:`SpecError` on malformed descriptions and
 from __future__ import annotations
 
 import json
+import math
 import re
+from fractions import Fraction
 
 from .errors import SpecError
 from .ideals import (
@@ -46,6 +51,7 @@ from .monoid import (
 from .series import INTEGERS, Ring, Series
 
 _DECIMAL = re.compile(r"-?[0-9]+")
+_FRACTION = re.compile(r"(-?[0-9]+)/([0-9]+)")
 
 
 def read_json_source(source: str) -> dict:
@@ -183,13 +189,7 @@ def parse_series(obj: dict, monoid: ZeroMonoid, ring: Ring = INTEGERS,
             raise SpecError(f"each term must be [coefficient, letters], "
                             f"got {entry!r}")
         coeff_text, letters = entry
-        if not (isinstance(coeff_text, str) and _DECIMAL.fullmatch(coeff_text)):
-            raise SpecError(
-                f"coefficient must be a decimal string, got {coeff_text!r}")
-        try:
-            coeff = ring.from_int(int(coeff_text))
-        except ValueError as exc:  # beyond the interpreter's digit limit
-            raise SpecError(f"coefficient is too long: {exc}") from None
+        coeff = _parse_coefficient(coeff_text, ring)
         word = monoid.word_from_letters(_letters(letters, "a term's word"))
         if monoid._order(word) > truncation:
             raise SpecError(
@@ -200,6 +200,31 @@ def parse_series(obj: dict, monoid: ZeroMonoid, ring: Ring = INTEGERS,
         if coeff != ring.zero:
             terms[word] = coeff
     return Series(monoid, truncation, terms, ring, _normalized=True)
+
+
+def _wire_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:  # beyond the interpreter's digit limit
+        raise SpecError(f"coefficient is too long: {exc}") from None
+
+
+def _parse_coefficient(text, ring: Ring):
+    """A wire coefficient as a value of the ring: a decimal string, or
+    over the rationals also a fraction in lowest terms."""
+    if isinstance(text, str) and _DECIMAL.fullmatch(text):
+        return ring.from_int(_wire_int(text))
+    rational = ring.value_type is Fraction
+    fraction = rational and isinstance(text, str) and _FRACTION.fullmatch(text)
+    if not fraction:
+        what = "a decimal or fraction string" if rational else "a decimal string"
+        raise SpecError(f"coefficient must be {what}, got {text!r}")
+    numerator, denominator = map(_wire_int, fraction.groups())
+    if denominator < 2 or math.gcd(numerator, denominator) != 1:
+        raise SpecError(
+            f"fraction coefficient must be in lowest terms with a "
+            f"denominator of at least 2, got {text!r}")
+    return Fraction(numerator, denominator)
 
 
 def series_to_json(f: Series) -> dict:

@@ -1,14 +1,17 @@
 """Shared builders and independent oracles for the test suite.
 
 The oracles here deliberately avoid the code paths they are used to
-check: the Mobius oracle inverts the characteristic series by a
+check: one Mobius oracle inverts the characteristic series by a
 grade-by-grade linear solve over factorizations instead of the star
-route, the falling-factorial counter predicts no-repeat word counts
-arithmetically instead of by enumeration, the element filter lists a
-grade by testing every word of the root base instead of extending the
-grade below, the filter counter counts every element instead of one
-word per residue class, and the factorization filter tests both factors
-of every base factorization for membership in the quotient.
+route, the other keeps the old route, the star of the negated proper
+part of a characteristic series built in full, against the grades that
+``mobius_series`` feeds the solver directly, the falling-factorial counter
+predicts no-repeat word counts arithmetically instead of by enumeration,
+the element filter lists a grade by testing every word of the root base
+instead of extending the grade below, the filter counter counts every
+element instead of one word per residue class, and the factorization
+filter tests both factors of every base factorization for membership in
+the quotient.
 """
 
 import itertools
@@ -26,7 +29,10 @@ from mobzero import (
     ReesQuotient,
     RepeatedLetterIdeal,
     Series,
+    characteristic_series,
     commutative_image,
+    proper_part,
+    star,
 )
 
 LETTERS = ("a", "b", "c", "d")
@@ -99,6 +105,12 @@ def mobius_by_triangular_solve(m, truncation, ring=INTEGERS):
             if value != ring.zero:
                 mu[x] = value
     return Series(m, truncation, mu, ring)
+
+
+def mobius_by_star(m, truncation, ring=INTEGERS):
+    """The star of -zeta+, with the characteristic series zeta built,
+    negated and stripped of its identity term, and handed to ``star``."""
+    return star(-proper_part(characteristic_series(m, truncation, ring)))
 
 
 def elements_by_filter(m, n):

@@ -41,9 +41,11 @@ from mobzero import (
 
 from helpers import (
     alphabet,
+    builtin_free_ideals,
     builtin_monoids,
     commutative,
     free,
+    mobius_by_star,
     mobius_by_triangular_solve,
     series_from_letterlists,
     standard_words,
@@ -334,9 +336,25 @@ def test_augmentation_is_multiplicative():
 
 # -- star -------------------------------------------------------------------
 
+RINGS = (INTEGERS, RATIONALS, IntegerModRing(7))
+
+
 def test_star_of_zero():
-    m = free(2)
-    assert star(Series.zero(m, 4)) == Series.one(m, 4)
+    for m in (free(2), standard_words(), commutative(2)):
+        for ring in RINGS:
+            for truncation in (0, 4):
+                zero = Series.zero(m, truncation, ring)
+                assert star(zero) == Series.one(m, truncation, ring)
+
+
+def test_star_of_terms_at_the_top_order_adds_one():
+    # every product of two terms lies beyond the truncation, so s = 1 + f
+    for m in (free(2), standard_words(), commutative(2)):
+        for ring in RINGS:
+            top = m.elements_of_order(3)
+            f = Series(m, 3, {x: i + 2 for i, x in enumerate(top)}, ring)
+            assert star(f) == Series.one(m, 3, ring) + f, m.describe()
+            assert star(f) == star_by_powers(f)[0]
 
 
 def test_star_standard_words_nilpotent():
@@ -370,9 +388,6 @@ def test_star_inverts_one_minus_f():
             assert fs.augmentation() == 1
             assert cauchy_product(one - f, fs) == one
             assert cauchy_product(fs, one - f) == one
-
-
-RINGS = (INTEGERS, RATIONALS, IntegerModRing(7))
 
 
 @pytest.mark.parametrize("k, truncation", [(1, 8), (2, 8), (3, 8), (4, 6)])
@@ -453,10 +468,21 @@ def test_mobius_values():
 
 
 def test_mobius_matches_triangular_solve():
+    """Three routes agree: the grades fed straight to the solver, the star
+    of -zeta+, and the triangular solve over factorizations."""
     for k in (1, 2, 3):
-        for m in builtin_monoids(k):
-            assert mobius_series(m, 5) == mobius_by_triangular_solve(m, 5), \
-                m.describe()
+        base = free(k)
+        quotients = [ReesQuotient(base, ideal)
+                     for ideal in builtin_free_ideals(base)]
+        for m in builtin_monoids(k) + quotients:
+            for ring in (INTEGERS, RATIONALS, IntegerModRing(2),
+                         IntegerModRing(7)):
+                for truncation in (0, 1, 5):
+                    mu = mobius_series(m, truncation, ring)
+                    assert mu == mobius_by_star(m, truncation, ring), \
+                        (m.describe(), ring, truncation)
+                    assert mu == mobius_by_triangular_solve(
+                        m, truncation, ring), (m.describe(), ring, truncation)
 
 
 def test_unit_inverse_reports():

@@ -1,8 +1,10 @@
 import json
 import random
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mobzero import (
     AdjoinedZero,
@@ -10,8 +12,11 @@ from mobzero import (
     EvPreimageIdeal,
     FreeCommutativeMonoid,
     GeneratedIdeal,
+    INTEGERS,
+    IntegerModRing,
     MembershipError,
     MinLengthIdeal,
+    RATIONALS,
     ReesQuotient,
     RepeatedLetterIdeal,
     Series,
@@ -275,6 +280,46 @@ def test_parse_series_accepts_signed_decimal():
     f = parse_series({"truncation": 2,
                       "terms": [["-12", ["a"]], ["007", ["a", "a"]]]}, free(1))
     assert f.terms == {(0,): -12, (0, 0): 7}
+
+
+def test_parse_series_accepts_fractions_over_the_rationals():
+    f = parse_series({"truncation": 2,
+                      "terms": [["-7/3", ["a"]], ["5", ["a", "a"]]]},
+                     free(1), RATIONALS)
+    assert f.terms == {(0,): Fraction(-7, 3), (0, 0): Fraction(5)}
+
+
+@pytest.mark.parametrize("coeff", ["2/4", "1/1", "1/0", "1/-2", " 1/2",
+                                   "0/2", "+1/2", "1.5"])
+def test_parse_series_rejects_non_canonical_fractions(coeff):
+    with pytest.raises(SpecError):
+        parse_series({"truncation": 2, "terms": [[coeff, ["a"]]]}, free(1),
+                     RATIONALS)
+
+
+@pytest.mark.parametrize("ring", [INTEGERS, IntegerModRing(7)],
+                         ids=["integers", "mod7"])
+def test_parse_series_rejects_fractions_outside_the_rationals(ring):
+    with pytest.raises(SpecError):
+        parse_series({"truncation": 2, "terms": [["1/2", ["a"]]]}, free(1),
+                     ring)
+
+
+@st.composite
+def wire_series(draw):
+    m = draw(st.sampled_from(builtin_monoids(2)))
+    truncation = draw(st.integers(0, 4))
+    ring = draw(st.sampled_from([INTEGERS, RATIONALS, IntegerModRing(7)]))
+    pool = [x for grade in m.grades(truncation) for x in grade]
+    words = draw(st.lists(st.sampled_from(pool), max_size=6, unique=True))
+    values = st.fractions() if ring == RATIONALS else st.integers()
+    return Series(m, truncation, {x: draw(values) for x in words}, ring)
+
+
+@settings(max_examples=150, deadline=None)
+@given(wire_series())
+def test_series_json_roundtrips_in_every_ring(f):
+    assert parse_series(series_to_json(f), f.monoid, f.ring) == f
 
 
 def test_parse_series_truncation_must_match_request():
