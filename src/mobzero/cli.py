@@ -155,18 +155,30 @@ def _cmd_count(args) -> int:
     return 0
 
 
+# The checks of `verify`, in the order they run and print: the name of
+# the report, which monoids the check applies to, and the call that makes
+# the report.  The calls look the check functions up when they run.
+_VERIFY_CHECKS = (
+    ("unit-inverse", lambda m: True,
+     lambda m, args: check_unit_inverse(m, args.order)),
+    ("oracle-equivalence", lambda m: True,
+     lambda m, args: check_oracle_equivalence(
+         m, min(args.order, 6), samples=20, seed=0)),
+    ("mobius-transfer", lambda m: isinstance(m, ReesQuotient),
+     lambda m, args: check_mobius_transfer(
+         QuotientContext.from_quotient(m), args.order)),
+    ("hilbert-relation",
+     lambda m: isinstance(m, ReesQuotient) and isinstance(m.base, FreeMonoid),
+     lambda m, args: check_hilbert_relation(
+         QuotientContext.from_quotient(m),
+         args.order if args.terms is None else args.terms)),
+)
+
+
 def _cmd_verify(args) -> int:
     m = args.parsed_monoid
-    reports = [
-        check_unit_inverse(m, args.order),
-        check_oracle_equivalence(m, min(args.order, 6), samples=20, seed=0),
-    ]
-    if isinstance(m, ReesQuotient):
-        ctx = QuotientContext.from_quotient(m)
-        reports.append(check_mobius_transfer(ctx, args.order))
-        if isinstance(m.base, FreeMonoid):
-            terms = args.order if args.terms is None else args.terms
-            reports.append(check_hilbert_relation(ctx, terms))
+    reports = [run(m, args) for _, applies, run in _VERIFY_CHECKS
+               if applies(m)]
     ok = all(r.passed for r in reports)
     if args.format == "json":
         print(json.dumps({"checks": [r.to_json() for r in reports],

@@ -22,6 +22,7 @@ simply never returned by any product.
 from __future__ import annotations
 
 import itertools
+import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Iterable, Union
@@ -270,7 +271,12 @@ class ZeroMonoid(ABC):
     def _spell(self, names: Iterable[str]) -> Word:
         """The word of the root base spelled by letter names; always a
         word of that base."""
-        return self.alphabet().spell(names)
+        return self._from_indices(self.alphabet().spell(names))
+
+    # The word of the root base whose letters, in display order, have the
+    # given alphabet indices; any iterable of indices will do.  A sequence
+    # word is the index tuple itself.
+    _from_indices = staticmethod(tuple)
 
     def _collapses(self, word: Word) -> bool:
         """Whether a word from :meth:`_spell` lies in an ideal collapsed
@@ -319,11 +325,9 @@ class FreeMonoid(ZeroMonoid):
         return (isinstance(word, tuple)
                 and all(isinstance(i, int) and 0 <= i < self._size for i in word))
 
-    def _mul(self, x, y):
-        return x + y
-
-    def _order(self, word) -> int:
-        return len(word)
+    # C builtins: the product and order loops call them with no Python frame
+    _mul = staticmethod(operator.add)
+    _order = staticmethod(len)
 
     def grades(self, top):
         # itertools.product builds a grade in C, some 4x faster than extend
@@ -370,10 +374,9 @@ class FreeCommutativeMonoid(ZeroMonoid):
                 and all(isinstance(e, int) and e >= 0 for e in word))
 
     def _mul(self, x, y):
-        return tuple(a + b for a, b in zip(x, y))
+        return tuple(map(operator.add, x, y))
 
-    def _order(self, word) -> int:
-        return sum(word)
+    _order = staticmethod(sum)
 
     def extend(self, word):
         # raise one coordinate at or after the last nonzero one: appending
@@ -399,8 +402,8 @@ class FreeCommutativeMonoid(ZeroMonoid):
         # expanded letter sequence: (2, 1) over {a, b} sorts and prints as "aab"
         return tuple(i for i, e in enumerate(word) for _ in range(e))
 
-    def _spell(self, names):
-        return commutative_image(super()._spell(names), self._size)
+    def _from_indices(self, indices):
+        return commutative_image(indices, self._size)
 
     def describe(self) -> str:
         return f"free commutative monoid on {{{', '.join(self._alphabet)}}}"
@@ -416,12 +419,17 @@ class _OverBase(ZeroMonoid):
     """A monoid whose nonzero elements are words of ``base``.
 
     Every word-level operation that a subclass does not override is the
-    base's own.
+    base's own.  ``_order`` and ``_from_indices`` are the base's callables
+    themselves, bound at construction, so a subclass cannot override them:
+    the order tests of the product loops and the series reader then call
+    the base's kernel directly, a C builtin over a free base.
     """
 
     def __init__(self, base: ZeroMonoid):
         self.base = base
         self.word_kind = base.word_kind
+        self._order = base._order
+        self._from_indices = base._from_indices
 
     def alphabet(self):
         return self.base.alphabet()
@@ -435,7 +443,7 @@ class _OverBase(ZeroMonoid):
     def _mul(self, x, y):
         return self.base._mul(x, y)
 
-    def _order(self, word):
+    def _order(self, word):  # the abstract method; shadowed by __init__
         return self.base._order(word)
 
     def extend(self, word):
@@ -450,9 +458,6 @@ class _OverBase(ZeroMonoid):
     def sort_key(self, word):
         return self.base.sort_key(word)
 
-    def _spell(self, names):
-        return self.base._spell(names)
-
     def _collapses(self, word):
         return self.base._collapses(word)
 
@@ -461,8 +466,13 @@ class AdjoinedZero(_OverBase):
     """A base monoid with a fresh absorbing zero adjoined.
 
     The zero absorbs but is never the product of two nonzero elements, so
-    every word-level operation delegates to the base realization.
+    every word-level operation delegates to the base realization, and the
+    product is the base's callable itself, bound at construction.
     """
+
+    def __init__(self, base: ZeroMonoid):
+        super().__init__(base)
+        self._mul = base._mul
 
     def grades(self, top):
         return self.base.grades(top)

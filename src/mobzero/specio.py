@@ -184,22 +184,45 @@ def parse_series(obj: dict, monoid: ZeroMonoid, ring: Ring = INTEGERS,
     if not isinstance(raw_terms, list):
         raise SpecError(f"series terms must be a list, got {raw_terms!r}")
     terms = {}
+    coefficients = {}  # each distinct wire coefficient, parsed once
+    index = monoid.alphabet()._index.__getitem__
+    from_indices, collapses = monoid._from_indices, monoid._collapses
+    order, zero = monoid._order, ring.zero
     for entry in raw_terms:
-        if not (isinstance(entry, list) and len(entry) == 2):
-            raise SpecError(f"each term must be [coefficient, letters], "
-                            f"got {entry!r}")
-        coeff_text, letters = entry
-        coeff = _parse_coefficient(coeff_text, ring)
-        word = monoid.word_from_letters(_letters(letters, "a term's word"))
-        if monoid._order(word) > truncation:
+        # A term whose coefficient was parsed before and whose letters are
+        # all in the alphabet costs one map and a few dict lookups; a
+        # non-string misses the string keys or cannot be hashed.  Every
+        # other term, and every word in an ideal, takes the strict route,
+        # which raises the error the term deserves.
+        word = None
+        if type(entry) is list and len(entry) == 2 and type(entry[1]) is list:
+            try:
+                coeff = coefficients[entry[0]]
+                word = from_indices(map(index, entry[1]))
+            except (KeyError, TypeError):
+                pass
+        if word is None or collapses(word):
+            coeff, word = _read_term(entry, monoid, ring, coefficients)
+        if order(word) > truncation:
             raise SpecError(
-                f"term {letters!r} has order {monoid._order(word)}, beyond "
+                f"term {entry[1]!r} has order {order(word)}, beyond "
                 f"the stated truncation {truncation}")
         if word in terms:
-            raise SpecError(f"duplicate term for word {letters!r}")
-        if coeff != ring.zero:
+            raise SpecError(f"duplicate term for word {entry[1]!r}")
+        if coeff != zero:
             terms[word] = coeff
     return Series(monoid, truncation, terms, ring, _normalized=True)
+
+
+def _read_term(entry, monoid: ZeroMonoid, ring: Ring, coefficients: dict):
+    """A wire term as (coefficient, word), every part checked strictly;
+    the parsed coefficient is kept in ``coefficients`` under its text."""
+    if not (isinstance(entry, list) and len(entry) == 2):
+        raise SpecError(f"each term must be [coefficient, letters], "
+                        f"got {entry!r}")
+    coeff_text, letters = entry
+    coeff = coefficients[coeff_text] = _parse_coefficient(coeff_text, ring)
+    return coeff, monoid.word_from_letters(_letters(letters, "a term's word"))
 
 
 def _wire_int(text: str) -> int:

@@ -7,11 +7,13 @@ route, the other keeps the old route, the star of the negated proper
 part of a characteristic series built in full, against the grades that
 ``mobius_series`` feeds the solver directly, the falling-factorial counter
 predicts no-repeat word counts arithmetically instead of by enumeration,
-the element filter lists a grade by testing every word of the root base
-instead of extending the grade below, the filter counter counts every
-element instead of one word per residue class, and the factorization
-filter tests both factors of every base factorization for membership in
-the quotient.
+the term-by-term series reader parses every coefficient and spells every
+word on its own, without the coefficient memo and the letter map of
+``parse_series``, the element filter lists a grade by testing every word
+of the root base instead of extending the grade below, the filter
+counter counts every element instead of one word per residue class, and
+the factorization filter tests both factors of every base factorization
+for membership in the quotient.
 """
 
 import itertools
@@ -29,11 +31,13 @@ from mobzero import (
     ReesQuotient,
     RepeatedLetterIdeal,
     Series,
+    SpecError,
     characteristic_series,
     commutative_image,
     proper_part,
     star,
 )
+from mobzero.specio import _field, _is_integer, _letters, _parse_coefficient
 
 LETTERS = ("a", "b", "c", "d")
 
@@ -157,3 +161,33 @@ def series_from_letterlists(m, truncation, pairs, ring=INTEGERS):
         word = m.word_from_letters(list(text))
         terms[word] = ring.from_int(coeff)
     return Series(m, truncation, terms, ring)
+
+
+def parse_series_by_terms(obj, monoid, ring=INTEGERS):
+    """Read a wire series term by term: ``_parse_coefficient`` and
+    ``word_from_letters`` on every term, each check in the order
+    ``parse_series`` makes them, with the same errors."""
+    truncation = _field(obj, "truncation", "series")
+    if not _is_integer(truncation) or truncation < 0:
+        raise SpecError(
+            f"series truncation must be a nonnegative integer, got {truncation!r}")
+    raw_terms = _field(obj, "terms", "series")
+    if not isinstance(raw_terms, list):
+        raise SpecError(f"series terms must be a list, got {raw_terms!r}")
+    terms = {}
+    for entry in raw_terms:
+        if not (isinstance(entry, list) and len(entry) == 2):
+            raise SpecError(f"each term must be [coefficient, letters], "
+                            f"got {entry!r}")
+        coeff_text, letters = entry
+        coeff = _parse_coefficient(coeff_text, ring)
+        word = monoid.word_from_letters(_letters(letters, "a term's word"))
+        if monoid._order(word) > truncation:
+            raise SpecError(
+                f"term {letters!r} has order {monoid._order(word)}, beyond "
+                f"the stated truncation {truncation}")
+        if word in terms:
+            raise SpecError(f"duplicate term for word {letters!r}")
+        if coeff != ring.zero:
+            terms[word] = coeff
+    return Series(monoid, truncation, terms, ring, _normalized=True)

@@ -1,7 +1,9 @@
 import json
 
+import pytest
+
 from mobzero import Report
-from mobzero.cli import main
+from mobzero.cli import _VERIFY_CHECKS, main
 
 STANDARD = ('{"type": "rees", "base": {"type": "free", '
             '"alphabet": ["a", "b", "c"]}, "ideal": {"kind": "repeated-letter"}}')
@@ -208,6 +210,42 @@ def test_verify_json(capsys):
     assert data["pass"] is True
     assert [c["check"] for c in data["checks"]] == [
         "unit-inverse", "oracle-equivalence"]
+
+
+GEN_AB = ('{"type": "rees", "base": {"type": "free", "alphabet": ["a", "b", '
+          '"c"]}, "ideal": {"kind": "generated", "words": [["a", "b"]]}}')
+COMM_DEG4 = ('{"type": "rees", "base": {"type": "free-commutative", '
+             '"alphabet": ["a", "b", "c"]}, '
+             '"ideal": {"kind": "degree-at-least", "d": 4}}')
+TRANSFER = ('{"check": "mobius-transfer", "pass": true, "notes": ["base '
+            'Mobius support avoids the ideal; series agree term for term"]}')
+
+
+@pytest.mark.parametrize("monoid, extra, text, checks", [
+    (FREE_AB, [], "PASS unit-inverse\nPASS oracle-equivalence\n", ""),
+    (GEN_AB, ["--terms", "7"],
+     "PASS unit-inverse\nPASS oracle-equivalence\nPASS mobius-transfer\n"
+     "PASS hilbert-relation\n",
+     ", " + TRANSFER + ', {"check": "hilbert-relation", "pass": true, '
+     '"notes": ["quotient counts: [1, 3, 8, 21, 55, 144, 377, 987]"]}'),
+    (COMM_DEG4, [],
+     "PASS unit-inverse\nPASS oracle-equivalence\nPASS mobius-transfer\n",
+     ", " + TRANSFER),
+], ids=["free", "free-quotient", "commutative-quotient"])
+def test_verify_output_is_unchanged(capsys, monoid, extra, text, checks):
+    argv = ["verify", "--monoid", monoid, "--order", "5", *extra]
+    assert run(capsys, *argv) == (0, text, "")
+    assert run(capsys, *argv, "--format", "json") == (0, (
+        '{"checks": [{"check": "unit-inverse", "pass": true}, '
+        '{"check": "oracle-equivalence", "pass": true}' + checks
+        + '], "pass": true}\n'), "")
+
+
+def test_verify_checks_are_named_as_their_reports(capsys):
+    _, out, _ = run(capsys, "verify", "--monoid", GEN_AB, "--order", "4",
+                    "--format", "json")
+    assert [c["check"] for c in json.loads(out)["checks"]] == [
+        name for name, _, _ in _VERIFY_CHECKS]
 
 
 def test_verify_failure_exits_two(capsys, monkeypatch):

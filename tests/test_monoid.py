@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from mobzero import (
     AdjoinedZero,
     Alphabet,
+    DegreeAtLeastIdeal,
     FreeCommutativeMonoid,
     FreeMonoid,
     GeneratedIdeal,
@@ -284,6 +286,47 @@ def test_order_adds_exactly_for_builtins():
                 z = m.product(x, y)
                 if z is not ZERO:
                     assert m.order(z) == m.order(x) + m.order(y)
+
+
+def kernel_monoids(k):
+    """Free, free commutative, adjoin-zero and Rees-quotient realizations
+    over k letters, and quotients of quotients over both kinds of base."""
+    words = standard_words(k)
+    degree = ReesQuotient(commutative(k),
+                          DegreeAtLeastIdeal(commutative(k), 5))
+    return builtin_monoids(k) + [
+        ReesQuotient(words, GeneratedIdeal(words, [(k - 1, 0)])),
+        ReesQuotient(degree, DegreeAtLeastIdeal(degree, 4)),
+    ]
+
+
+@pytest.mark.parametrize("m", kernel_monoids(3), ids=repr)
+def test_kernels_match_plain_python(m):
+    # concatenation and length for letter sequences, componentwise sum
+    # and total degree for exponent vectors; a product outside the
+    # monoid is its zero
+    if m.word_kind == "sequence":
+        def product(x, y):
+            return x + y
+
+        def order(x):
+            return len(x)
+    else:
+        def product(x, y):
+            return tuple(a + b for a, b in zip(x, y))
+
+        def order(x):
+            total = 0
+            for e in x:
+                total += e
+            return total
+    grades = m.grades(6)
+    for i, grade in enumerate(grades):
+        for x in grade:
+            assert m._order(x) == order(x) == i
+            for y in itertools.chain.from_iterable(grades[:7 - i]):
+                z = product(x, y)
+                assert m._mul(x, y) == (z if m.contains(z) else ZERO)
 
 
 def test_factorizations_match_products_exhaustively():

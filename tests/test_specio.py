@@ -32,9 +32,16 @@ from mobzero import (
     series_to_json,
 )
 
+import mobzero.specio as specio
 from mobzero.cli import main
 
-from helpers import builtin_monoids, commutative, free, standard_words
+from helpers import (
+    builtin_monoids,
+    commutative,
+    free,
+    parse_series_by_terms,
+    standard_words,
+)
 
 STANDARD = {
     "type": "rees",
@@ -320,6 +327,97 @@ def wire_series(draw):
 @given(wire_series())
 def test_series_json_roundtrips_in_every_ring(f):
     assert parse_series(series_to_json(f), f.monoid, f.ring) == f
+
+
+def read_outcome(read, obj, m, ring=INTEGERS):
+    """The series a reader returns, or the class and message it raises."""
+    try:
+        return read(obj, m, ring)
+    except (SpecError, MembershipError) as exc:
+        return type(exc), str(exc)
+
+
+def reader_monoids():
+    base = free(2)
+    return builtin_monoids(2) + [
+        ReesQuotient(base, GeneratedIdeal(base, [(0, 1)]))]
+
+
+@st.composite
+def wire_objects(draw):
+    """A series the library wrote, or a term list drawn at random: words
+    of the root base, possibly beyond the truncation or in an ideal,
+    repeated words, and coefficients that are zero, fractions or not in
+    lowest terms.  Coefficients repeat, so the readers see both first and
+    repeated coefficient strings."""
+    m = draw(st.sampled_from(reader_monoids()))
+    ring = draw(st.sampled_from([INTEGERS, RATIONALS, IntegerModRing(5)]))
+    truncation = draw(st.integers(0, 4))
+    if draw(st.booleans()):
+        pool = [x for grade in m.grades(truncation) for x in grade]
+        words = draw(st.lists(st.sampled_from(pool), max_size=12, unique=True))
+        values = (st.fractions(-2, 2, max_denominator=3) if ring == RATIONALS
+                  else st.integers(-3, 3))
+        f = Series(m, truncation, {x: draw(values) for x in words}, ring)
+        return m, ring, series_to_json(f)
+    coefficient = st.sampled_from(["0", "1", "-1", "12", "007", "1/2", "-3/4",
+                                   "2/4"])
+    letters = st.lists(st.sampled_from(list(m.alphabet())),
+                       max_size=truncation + 1)
+    terms = st.lists(st.tuples(coefficient, letters).map(list), max_size=12)
+    return m, ring, {"truncation": truncation, "terms": draw(terms)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(wire_objects())
+def test_parse_series_matches_the_term_by_term_reader(case):
+    m, ring, obj = case
+    assert (read_outcome(parse_series, obj, m, ring)
+            == read_outcome(parse_series_by_terms, obj, m, ring))
+
+
+@pytest.mark.parametrize("term, error", [
+    (["1", "ab"], SpecError),
+    (["1", [1]], SpecError),
+    (["1", [["a"]]], SpecError),
+    (["1", ["a", "z"]], SpecError),
+    ([1, ["a"]], SpecError),
+    ([True, ["a"]], SpecError),
+    (["1", ["b"]], SpecError),
+    (["1", ["a", "b", "c"]], SpecError),
+    (["1", ["a", "a"]], MembershipError),
+    ("1", SpecError),
+    (["1", ["a"], "x"], SpecError),
+], ids=["letters-string", "letter-number", "letter-list", "unknown-letter",
+        "number-coefficient", "true-coefficient", "duplicate",
+        "beyond-truncation", "ideal-member", "not-a-list", "three-elements"])
+def test_malformed_term_after_a_good_one_fails_like_the_term_reader(term, error):
+    # the good term puts "1" in the coefficient memo first; 1 and True
+    # must not be read as the cached "1"
+    obj = {"truncation": 2, "terms": [["1", ["b"]], term]}
+    outcome = read_outcome(parse_series, obj, standard_words())
+    assert outcome[0] is error
+    assert outcome == read_outcome(parse_series_by_terms, obj,
+                                   standard_words())
+
+
+def test_parse_series_parses_each_coefficient_string_once(monkeypatch):
+    seen = []
+
+    def counting(text, ring):
+        seen.append(text)
+        return parse_coefficient(text, ring)
+
+    parse_coefficient = specio._parse_coefficient
+    monkeypatch.setattr(specio, "_parse_coefficient", counting)
+    m = free(2)
+    words = [w for grade in m.grades(4) for w in grade]
+    obj = {"truncation": 4,
+           "terms": [[str(i % 3 - 1), m.word_letters(w)]
+                     for i, w in enumerate(words)]}
+    f = parse_series(obj, m)
+    assert sorted(seen) == ["-1", "0", "1"]
+    assert f == parse_series_by_terms(obj, m)
 
 
 def test_parse_series_truncation_must_match_request():
