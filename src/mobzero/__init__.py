@@ -32,7 +32,6 @@ from .monoid import (
     ZERO,
     Zero,
     ZeroMonoid,
-    commutative_image,
     validate_locally_finite,
 )
 from .ideals import (
@@ -61,7 +60,6 @@ from .series import (
     mobius_invert_right,
     mobius_series,
     power,
-    proper_part,
     random_series,
     scalar_mul,
     star,

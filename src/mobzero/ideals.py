@@ -16,14 +16,7 @@ from abc import ABC, abstractmethod
 from typing import Iterable
 
 from .errors import SpecError
-from .monoid import (
-    FreeCommutativeMonoid,
-    Report,
-    Word,
-    ZERO,
-    ZeroMonoid,
-    commutative_image,
-)
+from .monoid import FreeCommutativeMonoid, Report, Word, ZERO, ZeroMonoid
 
 
 class IdealSpec(ABC):
@@ -88,11 +81,14 @@ class IdealSpec(ABC):
         return f"<{type(self).__name__} over {self.base.describe()}>"
 
 
-def _require_sequence_base(base: ZeroMonoid, kind: str):
-    if base.word_kind != "sequence":
+_WORD_KINDS = {"sequence": "letter sequences", "multiset": "letter multisets"}
+
+
+def _require_word_kind(base: ZeroMonoid, kind: str, word_kind="sequence"):
+    if base.word_kind != word_kind:
         raise SpecError(
-            f"{kind} ideal needs a monoid whose words are letter sequences, "
-            f"got {base.describe()}")
+            f"{kind} ideal needs a monoid whose words are "
+            f"{_WORD_KINDS[word_kind]}, got {base.describe()}")
 
 
 class RepeatedLetterIdeal(IdealSpec):
@@ -101,7 +97,7 @@ class RepeatedLetterIdeal(IdealSpec):
     kind = "repeated-letter"
 
     def __init__(self, base: ZeroMonoid):
-        _require_sequence_base(base, self.kind)
+        _require_word_kind(base, self.kind)
         super().__init__(base)
 
     def contains(self, word: Word) -> bool:
@@ -122,11 +118,13 @@ class MinLengthIdeal(IdealSpec):
     """Words of length at least a fixed bound n."""
 
     kind = "min-length"
+    word_kind = "sequence"
+    bound_name = "min-length bound"
 
     def __init__(self, base: ZeroMonoid, n: int):
-        _require_sequence_base(base, self.kind)
+        _require_word_kind(base, self.kind, self.word_kind)
         if n < 1:
-            raise SpecError(f"min-length bound must be at least 1, got {n}")
+            raise SpecError(f"{self.bound_name} must be at least 1, got {n}")
         super().__init__(base)
         self.n = n
 
@@ -140,7 +138,7 @@ class MinLengthIdeal(IdealSpec):
         return ()
 
     def describe(self) -> str:
-        return f"min-length({self.n}) ideal"
+        return f"{self.kind}({self.n}) ideal"
 
     def _key(self):
         return (self.kind, self.base, self.n)
@@ -152,7 +150,7 @@ class GeneratedIdeal(IdealSpec):
     kind = "generated"
 
     def __init__(self, base: ZeroMonoid, words: Iterable[Word]):
-        _require_sequence_base(base, self.kind)
+        _require_word_kind(base, self.kind)
         super().__init__(base)
         generators = []
         for w in words:
@@ -208,47 +206,27 @@ class GeneratedIdeal(IdealSpec):
         return (self.kind, self.base, self.generators)
 
 
-class DegreeAtLeastIdeal(IdealSpec):
-    """Exponent vectors of total degree at least a fixed bound d."""
+class DegreeAtLeastIdeal(MinLengthIdeal):
+    """Commutative words of total degree at least a fixed bound n: the
+    length test, since a sorted letter tuple is as long as its degree."""
 
     kind = "degree-at-least"
-
-    def __init__(self, base: ZeroMonoid, d: int):
-        if base.word_kind != "vector":
-            raise SpecError(
-                f"degree-at-least ideal needs a monoid whose words are "
-                f"exponent vectors, got {base.describe()}")
-        if d < 1:
-            raise SpecError(f"degree bound must be at least 1, got {d}")
-        super().__init__(base)
-        self.d = d
-
-    def contains(self, word: Word) -> bool:
-        return sum(word) >= self.d
-
-    contains_extension = contains
-
-    def residue(self, word: Word):
-        return ()
-
-    def describe(self) -> str:
-        return f"degree-at-least({self.d}) ideal"
-
-    def _key(self):
-        return (self.kind, self.base, self.d)
+    word_kind = "multiset"
+    bound_name = "degree bound"
 
 
 class EvPreimageIdeal(IdealSpec):
     """Pullback of a commutative-side ideal along letter-count abelianization.
 
-    A word belongs exactly when its exponent vector lies in the inner
-    ideal.  Closure is inherited: the count map is multiplicative.
+    A word belongs exactly when its letter multiset, the word of the
+    inner base with the same letters, lies in the inner ideal.  Closure
+    is inherited: the count map is multiplicative.
     """
 
     kind = "ev-preimage"
 
     def __init__(self, base: ZeroMonoid, inner: IdealSpec):
-        _require_sequence_base(base, self.kind)
+        _require_word_kind(base, self.kind)
         if not isinstance(inner.base, FreeCommutativeMonoid):
             raise SpecError(
                 "ev-preimage needs an inner ideal over a free commutative "
@@ -259,13 +237,13 @@ class EvPreimageIdeal(IdealSpec):
                 f"{base.alphabet()!r} vs {inner.base.alphabet()!r}")
         super().__init__(base)
         self.inner = inner
-        self._size = len(base.alphabet())
+        self._image = inner.base._from_indices
 
     def contains(self, word: Word) -> bool:
-        return self.inner.contains(commutative_image(word, self._size))
+        return self.inner.contains(self._image(word))
 
     def residue(self, word: Word):
-        return commutative_image(word, self._size)
+        return self._image(word)
 
     def describe(self) -> str:
         return f"ev-preimage({self.inner.describe()})"

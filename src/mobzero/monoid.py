@@ -1,16 +1,19 @@
 """Locally finite monoids with zero, realized over finite alphabets.
 
 Every monoid element other than the absorbing zero is encoded as a *word*:
-a tuple of letter indices for free-monoid-like structures, or a tuple of
-letter exponents for commutative ones.  Equal elements always have equal
-encodings, so words can be dict keys and compared bitwise.  The absorbing
+the tuple of its letter indices in display order, a normal form in which
+equal elements always have equal encodings, so words can be dict keys and
+compared bitwise.  A word of the free monoid is its letter sequence; a
+word of the free commutative monoid is its sorted letter multiset.  Words
+of equal order compare, as tuples, in display order.  The absorbing
 element is never encoded as a word; products that hit it return the
 ``ZERO`` sentinel instead.
 
 Built-in realizations:
 
 * :class:`FreeMonoid` -- words under concatenation, no reachable zero;
-* :class:`FreeCommutativeMonoid` -- exponent vectors under addition;
+* :class:`FreeCommutativeMonoid` -- sorted letter tuples, multiplied by
+  merging;
 * :class:`AdjoinedZero` -- any realization with a fresh (unreachable) zero;
 * :class:`ReesQuotient` -- a base monoid with a proper two-sided ideal
   collapsed to zero.
@@ -29,7 +32,7 @@ from typing import Iterable, Union
 
 from .errors import InfiniteGradeError, MembershipError, SpecError
 
-Word = tuple  # tuple[int, ...]; letter indices or letter exponents
+Word = tuple  # tuple[int, ...]; letter indices in display order
 
 DEFAULT_TRUNCATION = 8
 
@@ -136,14 +139,6 @@ def _require_alphabet(alphabet):
         raise SpecError(f"expected an Alphabet, got {alphabet!r}")
 
 
-def commutative_image(word: Word, size: int) -> Word:
-    """Letter-multiplicity vector of a sequence word."""
-    counts = [0] * size
-    for i in word:
-        counts[i] += 1
-    return tuple(counts)
-
-
 class ZeroMonoid(ABC):
     """A monoid with (possibly unreachable) zero, graded by its order function.
 
@@ -152,8 +147,8 @@ class ZeroMonoid(ABC):
     and raise :class:`MembershipError` on foreign words.
     """
 
-    # "sequence" words are letter-index tuples, "vector" words are exponent
-    # tuples; ideals use this to check they apply to a compatible base
+    # "sequence" words multiply by concatenation, "multiset" words by
+    # merging; ideals use this to check they apply to a compatible base
     word_kind: str
 
     @abstractmethod
@@ -197,13 +192,13 @@ class ZeroMonoid(ABC):
 
     def extend(self, word: Word) -> list:
         """The elements one order above ``word`` that are reached from it,
-        listed in display order (:meth:`sort_key`).
+        listed in display order: as tuples, in increasing order.
 
         Every element of order n + 1 is reached from exactly one element
         of order n, and that element divides it.  Extending a grade in
         display order, word after word, lists the next grade in display
-        order: :meth:`grades` relies on that.  Sequence words are extended
-        by appending one letter; :meth:`IdealSpec.contains_extension`
+        order: :meth:`grades` relies on that.  Both free bases extend a
+        word by appending one letter; :meth:`IdealSpec.contains_extension`
         relies on that.
         """
         raise InfiniteGradeError(
@@ -244,17 +239,12 @@ class ZeroMonoid(ABC):
         """All pairs (y, z) with yz = x, sorted by the left factor."""
         self._require(x)
         pairs = list(self._splits(x))
-        pairs.sort(key=lambda p: (self._order(p[0]), self.sort_key(p[0])))
+        pairs.sort(key=lambda p: (self._order(p[0]), p[0]))
         return pairs
 
-    def sort_key(self, word: Word) -> Word:
-        """Key realizing (order, lexicographic) comparison of words."""
-        return word
-
     def word_letters(self, word: Word) -> list:
-        """Word as a list of letter names (vector words are expanded)."""
-        return list(map(self.alphabet().letters.__getitem__,
-                        self.sort_key(word)))
+        """Word as a list of letter names, in display order."""
+        return list(map(self.alphabet().letters.__getitem__, word))
 
     def word_from_letters(self, names: Iterable[str]) -> Word:
         """The element spelled by letter names, built in one step.
@@ -273,9 +263,9 @@ class ZeroMonoid(ABC):
         word of that base."""
         return self._from_indices(self.alphabet().spell(names))
 
-    # The word of the root base whose letters, in display order, have the
-    # given alphabet indices; any iterable of indices will do.  A sequence
-    # word is the index tuple itself.
+    # The word of the root base whose letters have the given alphabet
+    # indices; any iterable of indices will do.  A sequence word is the
+    # index tuple itself; a multiset word sorts it.
     _from_indices = staticmethod(tuple)
 
     def _collapses(self, word: Word) -> bool:
@@ -354,9 +344,10 @@ class FreeMonoid(ZeroMonoid):
 
 
 class FreeCommutativeMonoid(ZeroMonoid):
-    """Exponent vectors over a finite alphabet under componentwise addition."""
+    """Letter multisets over a finite alphabet, each the sorted tuple of
+    its letter indices, multiplied by merging."""
 
-    word_kind = "vector"
+    word_kind = "multiset"
 
     def __init__(self, alphabet: Alphabet):
         _require_alphabet(alphabet)
@@ -367,43 +358,45 @@ class FreeCommutativeMonoid(ZeroMonoid):
         return self._alphabet
 
     def identity(self) -> Word:
-        return (0,) * self._size
+        return ()
 
     def contains(self, word) -> bool:
-        return (isinstance(word, tuple) and len(word) == self._size
-                and all(isinstance(e, int) and e >= 0 for e in word))
+        return (isinstance(word, tuple)
+                and all(isinstance(i, int) and 0 <= i < self._size for i in word)
+                and all(map(operator.le, word, word[1:])))
 
     def _mul(self, x, y):
-        return tuple(map(operator.add, x, y))
+        return tuple(sorted(x + y))
 
-    _order = staticmethod(sum)
+    _order = staticmethod(len)
+
+    def grades(self, top):
+        # combinations_with_replacement lists the sorted tuples of a grade
+        # in increasing order, in C, as FreeMonoid.grades uses product
+        return [list(itertools.combinations_with_replacement(
+                    range(self._size), n)) for n in range(top + 1)]
 
     def extend(self, word):
-        # raise one coordinate at or after the last nonzero one: appending
-        # a letter to a nondecreasing index sequence keeps it nondecreasing
-        last = self.residue(word)
-        return [word[:i] + (word[i] + 1,) + word[i + 1:]
-                for i in range(last, self._size)]
+        # append a letter no smaller than the last: the word stays sorted
+        return [word + (i,) for i in range(self.residue(word), self._size)]
 
     def residue(self, word):
-        """Index of the last nonzero coordinate; 0 for the identity."""
-        last = self._size - 1
-        while last and not word[last]:
-            last -= 1
-        return last
+        """The last letter; 0 for the identity."""
+        return word[-1] if word else 0
 
     def _splits(self, x):
-        pairs = []
-        for sub in itertools.product(*(range(e + 1) for e in x)):
-            pairs.append((sub, tuple(a - b for a, b in zip(x, sub))))
+        # each run of equal letters splits into a prefix for the left
+        # factor and the rest for the right one, independently of the others
+        pairs = [((), ())]
+        for _, run in itertools.groupby(x):
+            run = tuple(run)
+            cuts = [(run[:k], run[k:]) for k in range(len(run) + 1)]
+            pairs = [(y + p, z + q) for y, z in pairs for p, q in cuts]
         return pairs
 
-    def sort_key(self, word):
-        # expanded letter sequence: (2, 1) over {a, b} sorts and prints as "aab"
-        return tuple(i for i, e in enumerate(word) for _ in range(e))
-
-    def _from_indices(self, indices):
-        return commutative_image(indices, self._size)
+    @staticmethod
+    def _from_indices(indices):
+        return tuple(sorted(indices))
 
     def describe(self) -> str:
         return f"free commutative monoid on {{{', '.join(self._alphabet)}}}"
@@ -454,9 +447,6 @@ class _OverBase(ZeroMonoid):
 
     def _splits(self, x):
         return self.base._splits(x)
-
-    def sort_key(self, word):
-        return self.base.sort_key(word)
 
     def _collapses(self, word):
         return self.base._collapses(word)

@@ -182,9 +182,8 @@ class Series:
         return min(self.monoid._order(w) for w in self.terms)
 
     def items_sorted(self) -> list:
-        order, sort_key = self.monoid._order, self.monoid.sort_key
-        return sorted(self.terms.items(),
-                      key=lambda kv: (order(kv[0]), sort_key(kv[0])))
+        order = self.monoid._order
+        return sorted(self.terms.items(), key=lambda kv: (order(kv[0]), kv[0]))
 
     def truncated(self, truncation: int) -> "Series":
         """Project to a lower truncation order."""
@@ -253,8 +252,8 @@ class Series:
     def __rmul__(self, other):
         return scalar_mul(other, self)
 
-    def star(self, **kwargs):
-        return star(self, **kwargs)
+    def star(self):
+        return star(self)
 
     def power(self, k):
         return power(self, k)
@@ -396,18 +395,13 @@ def _require_proper(f: Series):
             f"is {f.ring.render(f.augmentation())}")
 
 
-def star(f: Series, return_power_count: bool = False):
+def star(f: Series) -> Series:
     """Inverse of (1 - f) for a proper series f, solved grade by grade.
 
     The star s satisfies s = 1 + s*f.  The terms of f are bucketed by
     order and handed to :func:`_solve_star`, which seeds the identity
     grade of s instead of multiplying it against f.
-
-    With ``return_power_count`` the result comes from
-    :func:`star_by_powers` instead, together with its power count.
     """
-    if return_power_count:
-        return star_by_powers(f)
     _require_proper(f)
     order = f.monoid._order
     by_order = [[] for _ in range(f.truncation)]
@@ -485,13 +479,6 @@ def characteristic_series(m: ZeroMonoid, truncation: int = DEFAULT_TRUNCATION,
     return Series(m, truncation, terms, ring, _normalized=True)
 
 
-def proper_part(f: Series) -> Series:
-    """f minus its coefficient at the identity."""
-    terms = dict(f.terms)
-    terms.pop(f.monoid.identity(), None)
-    return Series(f.monoid, f.truncation, terms, f.ring, _normalized=True)
-
-
 def mobius_series(m: ZeroMonoid, truncation: int = DEFAULT_TRUNCATION,
                   ring: Ring = INTEGERS) -> Series:
     """Inverse of the characteristic series: the star of -zeta+, where
@@ -534,7 +521,7 @@ def first_difference(f: Series, g: Series) -> Optional[str]:
     m = f.monoid
     ring = f.ring
     words = set(f.terms) | set(g.terms)
-    for w in sorted(words, key=lambda w: (m._order(w), m.sort_key(w))):
+    for w in sorted(words, key=lambda w: (m._order(w), w)):
         a = f.terms.get(w, ring.zero)
         b = g.terms.get(w, ring.zero)
         if a != b:

@@ -18,8 +18,10 @@ optional leading minus sign, nothing else) so arbitrary-precision
 integers survive any JSON implementation.  Over the rationals a
 coefficient may also be a fraction ``p/q`` as ``str(Fraction)`` writes
 it: a decimal numerator, a slash and an unsigned denominator of at least
-2, in lowest terms.  Words travel as letter-name lists; for commutative
-monoids the list is the sorted letter multiset.
+2, in lowest terms.  Words travel as letter-name lists, the letters of
+the word in display order: for commutative monoids the sorted letter
+multiset.  The reader accepts a commutative word's letters in any order,
+and a word may appear in one term only, whatever its coefficient.
 Parsers raise :class:`SpecError` on malformed descriptions and
 :class:`MembershipError` on words that fail to belong.
 """
@@ -157,13 +159,14 @@ def parse_ideal(obj: dict, base: ZeroMonoid) -> IdealSpec:
 def ideal_to_json(spec: IdealSpec) -> dict:
     if isinstance(spec, RepeatedLetterIdeal):
         return {"kind": "repeated-letter"}
+    # a degree-at-least ideal is a min-length ideal over a commutative base
+    if isinstance(spec, DegreeAtLeastIdeal):
+        return {"kind": "degree-at-least", "d": spec.n}
     if isinstance(spec, MinLengthIdeal):
         return {"kind": "min-length", "n": spec.n}
     if isinstance(spec, GeneratedIdeal):
         return {"kind": "generated",
                 "words": [spec.base.word_letters(g) for g in spec.generators]}
-    if isinstance(spec, DegreeAtLeastIdeal):
-        return {"kind": "degree-at-least", "d": spec.d}
     if isinstance(spec, EvPreimageIdeal):
         return {"kind": "ev-preimage", "inner": ideal_to_json(spec.inner)}
     raise SpecError(f"cannot serialize {spec.describe()}")
@@ -184,6 +187,7 @@ def parse_series(obj: dict, monoid: ZeroMonoid, ring: Ring = INTEGERS,
     if not isinstance(raw_terms, list):
         raise SpecError(f"series terms must be a list, got {raw_terms!r}")
     terms = {}
+    zeros = []  # words with a zero coefficient, dropped after the last term
     coefficients = {}  # each distinct wire coefficient, parsed once
     index = monoid.alphabet()._index.__getitem__
     from_indices, collapses = monoid._from_indices, monoid._collapses
@@ -209,8 +213,11 @@ def parse_series(obj: dict, monoid: ZeroMonoid, ring: Ring = INTEGERS,
                 f"the stated truncation {truncation}")
         if word in terms:
             raise SpecError(f"duplicate term for word {entry[1]!r}")
-        if coeff != zero:
-            terms[word] = coeff
+        terms[word] = coeff
+        if coeff == zero:
+            zeros.append(word)
+    for word in zeros:
+        del terms[word]
     return Series(monoid, truncation, terms, ring, _normalized=True)
 
 

@@ -3,8 +3,8 @@
 The oracles here deliberately avoid the code paths they are used to
 check: one Mobius oracle inverts the characteristic series by a
 grade-by-grade linear solve over factorizations instead of the star
-route, the other keeps the old route, the star of the negated proper
-part of a characteristic series built in full, against the grades that
+route, the other keeps the old route, the star of one minus a
+characteristic series built in full, against the grades that
 ``mobius_series`` feeds the solver directly, the falling-factorial counter
 predicts no-repeat word counts arithmetically instead of by enumeration,
 the term-by-term series reader parses every coefficient and spells every
@@ -14,6 +14,11 @@ of the root base instead of extending the grade below, the filter
 counter counts every element instead of one word per residue class, and
 the factorization filter tests both factors of every base factorization
 for membership in the quotient.
+
+The vector route keeps the exponent-vector arithmetic of the free
+commutative monoid, whose words are sorted letter tuples: a word's
+letter counts, their componentwise sum, and a vector expanded back into
+sorted letter indices.
 """
 
 import itertools
@@ -33,8 +38,6 @@ from mobzero import (
     Series,
     SpecError,
     characteristic_series,
-    commutative_image,
-    proper_part,
     star,
 )
 from mobzero.specio import _field, _is_integer, _letters, _parse_coefficient
@@ -112,22 +115,46 @@ def mobius_by_triangular_solve(m, truncation, ring=INTEGERS):
 
 
 def mobius_by_star(m, truncation, ring=INTEGERS):
-    """The star of -zeta+, with the characteristic series zeta built,
-    negated and stripped of its identity term, and handed to ``star``."""
-    return star(-proper_part(characteristic_series(m, truncation, ring)))
+    """The star of -zeta+, with the characteristic series zeta built and
+    subtracted from one, and handed to ``star``."""
+    return star(Series.one(m, truncation, ring)
+                - characteristic_series(m, truncation, ring))
+
+
+def commutative_image(word, size):
+    """Letter-count vector of a word over ``size`` letters."""
+    counts = [0] * size
+    for i in word:
+        counts[i] += 1
+    return tuple(counts)
+
+
+def add_vectors(u, v):
+    """Componentwise sum of two letter-count vectors."""
+    return tuple(a + b for a, b in zip(u, v))
+
+
+def vector_word(vector):
+    """The free commutative word with the given letter counts: its letter
+    indices in increasing order."""
+    return tuple(i for i, e in enumerate(vector) for _ in range(e))
 
 
 def elements_by_filter(m, n):
     """The elements of order n in display order: every word of order n
     of the root base (the free or free commutative monoid under all
-    wrappers and quotients) is built and tested with ``m.contains``."""
+    wrappers and quotients) is built and tested with ``m.contains``.
+    Commutative words come from the letter-count vectors of total n,
+    listed with decreasing coordinates: the more of the early letters,
+    the earlier the word."""
     root = m
     while hasattr(root, "base"):
         root = root.base
     k = len(root.alphabet())
     if isinstance(root, FreeCommutativeMonoid):
-        words = (commutative_image(c, k) for c in
-                 itertools.combinations_with_replacement(range(k), n))
+        words = (vector_word(v)
+                 for v in itertools.product(range(n, -1, -1), repeat=k)
+                 if sum(v) == n)
     else:
         words = itertools.product(range(k), repeat=n)
     return [w for w in words if m.contains(w)]
@@ -175,6 +202,7 @@ def parse_series_by_terms(obj, monoid, ring=INTEGERS):
     if not isinstance(raw_terms, list):
         raise SpecError(f"series terms must be a list, got {raw_terms!r}")
     terms = {}
+    seen = set()
     for entry in raw_terms:
         if not (isinstance(entry, list) and len(entry) == 2):
             raise SpecError(f"each term must be [coefficient, letters], "
@@ -186,8 +214,9 @@ def parse_series_by_terms(obj, monoid, ring=INTEGERS):
             raise SpecError(
                 f"term {letters!r} has order {monoid._order(word)}, beyond "
                 f"the stated truncation {truncation}")
-        if word in terms:
+        if word in seen:
             raise SpecError(f"duplicate term for word {letters!r}")
+        seen.add(word)
         if coeff != ring.zero:
             terms[word] = coeff
     return Series(monoid, truncation, terms, ring, _normalized=True)

@@ -8,11 +8,11 @@ from mobzero import (
     MinLengthIdeal,
     RepeatedLetterIdeal,
     SpecError,
-    commutative_image,
     validate_ideal,
 )
 
-from helpers import builtin_free_ideals, commutative, free
+from helpers import (
+    builtin_free_ideals, commutative, commutative_image, free, vector_word)
 
 
 def w(m, text):
@@ -92,10 +92,10 @@ def test_generated_empty_word_caught_by_validation():
 def test_degree_at_least_membership():
     base = commutative(2)
     ideal = DegreeAtLeastIdeal(base, 2)
-    assert ideal.contains((2, 0))
-    assert ideal.contains((1, 1))
-    assert not ideal.contains((1, 0))
-    assert not ideal.contains((0, 0))
+    assert ideal.contains(w(base, "aa"))
+    assert ideal.contains(w(base, "ba"))
+    assert not ideal.contains(w(base, "b"))
+    assert not ideal.contains(base.identity())
 
 
 def test_degree_at_least_validation():
@@ -122,7 +122,7 @@ def test_ev_preimage_consistency_exhaustive():
     for n in range(7):
         for word in base.elements_of_order(n):
             assert ideal.contains(word) == inner.contains(
-                commutative_image(word, 2))
+                vector_word(commutative_image(word, 2)))
 
 
 def test_ev_preimage_base_compatibility():

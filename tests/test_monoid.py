@@ -18,12 +18,12 @@ from mobzero import (
     ZERO,
     Zero,
     ZeroMonoid,
-    commutative_image,
     validate_locally_finite,
 )
 
 from helpers import (
-    alphabet, builtin_monoids, commutative, free, standard_words)
+    add_vectors, alphabet, builtin_monoids, commutative, commutative_image,
+    elements_by_filter, free, standard_words, vector_word)
 
 
 def words(m, texts):
@@ -129,19 +129,22 @@ def test_free_equality_and_describe():
 
 def test_commutative_product_adds_exponents():
     m = commutative(2)
-    a = m.word_from_letters(["a"])
-    b = m.word_from_letters(["b"])
-    assert a == (1, 0)
-    assert m.product(a, b) == (1, 1)
-    assert m.product(a, a) == (2, 0)
-    assert m.order((2, 1)) == 3
-    assert m.identity() == (0, 0)
+    a, b, aab, ab = words(m, ["a", "b", "aab", "ab"])
+    assert m.product(a, b) == m.product(b, a) == ab
+    assert m.product(a, m.product(b, a)) == aab
+    assert m.render_word(m.product(a, a)) == "aa"
+    assert m.order(aab) == 3
+    assert m.render_word(m.identity()) == "1"
+    assert commutative_image(aab, 2) == (2, 1)
 
 
 def test_commutative_word_from_letters_is_multiset():
     m = commutative(2)
-    assert m.word_from_letters(["b", "a", "b"]) == (1, 2)
-    assert m.render_word((1, 2)) == "abb"
+    assert m.word_from_letters(["b", "a", "b"]) == \
+        m.word_from_letters(["a", "b", "b"])
+    assert m.render_word(m.word_from_letters(["b", "a", "b"])) == "abb"
+    assert m.word_letters(m.word_from_letters(["b", "b", "a"])) == \
+        ["a", "b", "b"]
 
 
 def test_commutative_elements_of_order_sorted_by_expansion():
@@ -154,23 +157,46 @@ def test_commutative_elements_of_order_sorted_by_expansion():
 
 def test_commutative_factorizations_of_ab():
     m = commutative(2)
-    pairs = m.factorizations((1, 1))
-    assert set(pairs) == {
-        ((0, 0), (1, 1)),
-        ((1, 0), (0, 1)),
-        ((0, 1), (1, 0)),
-        ((1, 1), (0, 0)),
-    }
-    assert len(pairs) == 4
+    one = m.identity()
+    a, b, ab, aa = words(m, ["a", "b", "ab", "aa"])
+    pairs = m.factorizations(ab)
+    assert pairs == [(one, ab), (a, b), (b, a), (ab, one)]
     # divisor pairs of a^2: 1*aa, a*a, aa*1
-    assert len(m.factorizations((2, 0))) == 3
+    assert m.factorizations(aa) == [(one, aa), (a, a), (aa, one)]
 
 
 def test_commutative_membership():
     m = commutative(2)
-    assert m.contains((0, 0))
-    assert not m.contains((1,))
-    assert not m.contains((1, -1))
+    assert m.contains(m.identity())
+    assert m.contains(m.word_from_letters(["b", "a"]))
+    for word in [(1, 0), (2,), (0, -1), (0, 1.0), [0, 1]]:
+        assert not m.contains(word), word
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_commutative_kernels_match_the_vector_route(k):
+    # on letter-count vectors, a product adds, an order sums, extending
+    # raises one count at or after the last nonzero one, which is the
+    # residue, and a left factor is any vector below the word's
+    m = commutative(k)
+    pool = [w for n in range(8) for w in elements_by_filter(m, n)]
+    for x in pool:
+        v = commutative_image(x, k)
+        assert vector_word(v) == x
+        assert m._order(x) == sum(v)
+        last = max([i for i, e in enumerate(v) if e], default=0)
+        assert m.residue(x) == last
+        assert m.extend(x) == [vector_word(v[:i] + (v[i] + 1,) + v[i + 1:])
+                               for i in range(last, k)]
+        splits = [(vector_word(u), vector_word(tuple(a - b for a, b in
+                                                     zip(v, u))))
+                  for u in itertools.product(*(range(e + 1) for e in v))]
+        assert m.factorizations(x) == sorted(
+            splits, key=lambda p: (sum(commutative_image(p[0], k)), p[0]))
+        for y in pool:
+            if len(x) + len(y) <= 7:
+                assert m._mul(x, y) == vector_word(
+                    add_vectors(v, commutative_image(y, k)))
 
 
 # -- adjoined zero ----------------------------------------------------------
@@ -303,8 +329,8 @@ def kernel_monoids(k):
 @pytest.mark.parametrize("m", kernel_monoids(3), ids=repr)
 def test_kernels_match_plain_python(m):
     # concatenation and length for letter sequences, componentwise sum
-    # and total degree for exponent vectors; a product outside the
-    # monoid is its zero
+    # and total degree of the letter counts for letter multisets; a
+    # product outside the monoid is its zero
     if m.word_kind == "sequence":
         def product(x, y):
             return x + y
@@ -313,11 +339,12 @@ def test_kernels_match_plain_python(m):
             return len(x)
     else:
         def product(x, y):
-            return tuple(a + b for a, b in zip(x, y))
+            return vector_word(add_vectors(commutative_image(x, 3),
+                                           commutative_image(y, 3)))
 
         def order(x):
             total = 0
-            for e in x:
+            for e in commutative_image(x, 3):
                 total += e
             return total
     grades = m.grades(6)
@@ -369,11 +396,6 @@ def test_render_identity_and_words():
     m = free(2)
     assert m.render_word(m.identity()) == "1"
     assert m.render_word((0, 1, 0)) == "aba"
-
-
-def test_commutative_image():
-    assert commutative_image((0, 1, 0), 3) == (2, 1, 0)
-    assert commutative_image((), 2) == (0, 0)
 
 
 # -- local finiteness checker -----------------------------------------------

@@ -18,14 +18,15 @@ from mobzero import (
     characteristic_series,
     check_lemma_inverse_via_section,
     check_mobius_transfer,
-    commutative_image,
     mobius_series,
     phi,
     random_series,
     section,
 )
 
-from helpers import commutative, free, series_from_letterlists, standard_words
+from helpers import (
+    add_vectors, commutative, commutative_image, free, series_from_letterlists,
+    standard_words, vector_word)
 
 
 def w(m, text):
@@ -174,22 +175,25 @@ def test_section_checks_carrier():
         section(ctx, Series.one(ctx.base, 4))
 
 
-# -- ev: the letter-count map, computed by commutative_image ----------------
+# -- ev: the letter-count map, a word's letters as a commutative word -------
 
 def test_ev_counts_letters():
     m = free(2)
+    cm = commutative(2)
+    assert cm._from_indices(w(m, "aba")) == w(cm, "aab")
     assert commutative_image(w(m, "aba"), 2) == (2, 1)
-    assert commutative_image((), 2) == (0, 0)
+    assert cm._from_indices(m.identity()) == cm.identity()
 
 
 def test_ev_is_a_morphism():
     rng = random.Random(43)
     cm = commutative(3)
+    ev = cm._from_indices
     for _ in range(40):
         u = tuple(rng.randrange(3) for _ in range(rng.randrange(6)))
         v = tuple(rng.randrange(3) for _ in range(rng.randrange(6)))
-        assert commutative_image(u + v, 3) == cm._mul(
-            commutative_image(u, 3), commutative_image(v, 3))
+        assert ev(u + v) == cm._mul(ev(u), ev(v)) == vector_word(
+            add_vectors(commutative_image(u, 3), commutative_image(v, 3)))
 
 
 # -- inverse via section ----------------------------------------------------

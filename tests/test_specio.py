@@ -177,9 +177,9 @@ def test_parse_series_big_integers():
 
 def test_parse_series_commutative_multiset():
     m = commutative(2)
-    f = parse_series(
-        {"truncation": 3, "terms": [["1", ["a", "a", "b"]]]}, m)
-    assert f.terms == {(2, 1): 1}
+    for letters in (["a", "a", "b"], ["a", "b", "a"], ["b", "a", "a"]):
+        f = parse_series({"truncation": 3, "terms": [["1", letters]]}, m)
+        assert f.terms == {m.word_from_letters(["a", "a", "b"]): 1}
 
 
 def test_parse_series_rejects_bad_terms():
@@ -376,29 +376,49 @@ def test_parse_series_matches_the_term_by_term_reader(case):
             == read_outcome(parse_series_by_terms, obj, m, ring))
 
 
-@pytest.mark.parametrize("term, error", [
-    (["1", "ab"], SpecError),
-    (["1", [1]], SpecError),
-    (["1", [["a"]]], SpecError),
-    (["1", ["a", "z"]], SpecError),
-    ([1, ["a"]], SpecError),
-    ([True, ["a"]], SpecError),
-    (["1", ["b"]], SpecError),
-    (["1", ["a", "b", "c"]], SpecError),
-    (["1", ["a", "a"]], MembershipError),
-    ("1", SpecError),
-    (["1", ["a"], "x"], SpecError),
+GOOD_TERM = ["1", ["b"]]
+ZERO_TERM = ["0", ["b"]]
+
+
+@pytest.mark.parametrize("first, term, error", [
+    (GOOD_TERM, ["1", "ab"], SpecError),
+    (GOOD_TERM, ["1", [1]], SpecError),
+    (GOOD_TERM, ["1", [["a"]]], SpecError),
+    (GOOD_TERM, ["1", ["a", "z"]], SpecError),
+    (GOOD_TERM, [1, ["a"]], SpecError),
+    (GOOD_TERM, [True, ["a"]], SpecError),
+    (GOOD_TERM, ["1", ["b"]], SpecError),
+    (GOOD_TERM, ["1", ["a", "b", "c"]], SpecError),
+    (GOOD_TERM, ["1", ["a", "a"]], MembershipError),
+    (GOOD_TERM, "1", SpecError),
+    (GOOD_TERM, ["1", ["a"], "x"], SpecError),
+    (GOOD_TERM, ZERO_TERM, SpecError),
+    (ZERO_TERM, GOOD_TERM, SpecError),
+    (ZERO_TERM, ZERO_TERM, SpecError),
 ], ids=["letters-string", "letter-number", "letter-list", "unknown-letter",
         "number-coefficient", "true-coefficient", "duplicate",
-        "beyond-truncation", "ideal-member", "not-a-list", "three-elements"])
-def test_malformed_term_after_a_good_one_fails_like_the_term_reader(term, error):
-    # the good term puts "1" in the coefficient memo first; 1 and True
-    # must not be read as the cached "1"
-    obj = {"truncation": 2, "terms": [["1", ["b"]], term]}
+        "beyond-truncation", "ideal-member", "not-a-list", "three-elements",
+        "zero-duplicate", "duplicate-of-zero", "zero-duplicate-of-zero"])
+def test_malformed_term_after_a_good_one_fails_like_the_term_reader(
+        first, term, error):
+    # the first term puts its coefficient in the memo; 1 and True must
+    # not be read as the cached "1", and a word is repeated whatever the
+    # coefficient of either term
+    obj = {"truncation": 2, "terms": [first, term]}
     outcome = read_outcome(parse_series, obj, standard_words())
     assert outcome[0] is error
     assert outcome == read_outcome(parse_series_by_terms, obj,
                                    standard_words())
+
+
+@pytest.mark.parametrize("coeff", ["0", "1"])
+def test_commutative_word_repeated_in_another_letter_order_is_a_duplicate(
+        coeff):
+    obj = {"truncation": 3, "terms": [[coeff, ["b", "a", "b"]],
+                                      ["2", ["a", "b", "b"]]]}
+    for read in (parse_series, parse_series_by_terms):
+        assert read_outcome(read, obj, commutative(2)) == (
+            SpecError, "duplicate term for word ['a', 'b', 'b']")
 
 
 def test_parse_series_parses_each_coefficient_string_once(monkeypatch):
@@ -440,7 +460,8 @@ def test_series_json_roundtrip_sorted():
 
 def test_series_json_commutative_sorted_multiset():
     m = commutative(2)
-    f = Series(m, 3, {(1, 2): 5, (2, 0): 1})
+    f = Series(m, 3, {m.word_from_letters(["b", "a", "b"]): 5,
+                      m.word_from_letters(["a", "a"]): 1})
     obj = series_to_json(f)
     assert obj["terms"] == [["1", ["a", "a"]], ["5", ["a", "b", "b"]]]
     assert parse_series(obj, m) == f
