@@ -11,7 +11,6 @@ dimension counts for the graded quotient algebras.
 
 from .errors import (
     AlgebraError,
-    ContextMismatchError,
     InfiniteGradeError,
     MembershipError,
     MonoidMismatchError,
@@ -68,14 +67,12 @@ from .series import (
     zeta_transform_right,
 )
 from .quotient_maps import (
-    QuotientContext,
     check_lemma_inverse_via_section,
     check_mobius_transfer,
     phi,
     section,
 )
 from .hilbert import (
-    HilbertPrefix,
     check_hilbert_relation,
     evaluation_map,
     hilbert_prefix,

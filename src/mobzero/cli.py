@@ -13,9 +13,9 @@ import json
 import sys
 
 from .errors import AlgebraError
-from .hilbert import check_hilbert_relation, hilbert_prefix
+from .hilbert import check_hilbert_relation, hilbert_prefix, poly_text
 from .monoid import DEFAULT_TRUNCATION, FreeMonoid, ReesQuotient
-from .quotient_maps import QuotientContext, check_mobius_transfer
+from .quotient_maps import check_mobius_transfer
 from .series import (
     cauchy_product,
     check_oracle_equivalence,
@@ -129,11 +129,11 @@ def _cmd_invert(args) -> int:
 
 def _cmd_hilbert(args) -> int:
     terms = args.order if args.terms is None else args.terms
-    hp = hilbert_prefix(args.parsed_monoid, terms)
+    counts = hilbert_prefix(args.parsed_monoid, terms)
     if args.format == "json":
-        print(json.dumps(hp.to_json()))
+        print(json.dumps({"counts": list(counts)}))
     else:
-        print(hp.text())
+        print(poly_text(counts))
     return 0
 
 
@@ -165,13 +165,11 @@ _VERIFY_CHECKS = (
      lambda m, args: check_oracle_equivalence(
          m, min(args.order, 6), samples=20, seed=0)),
     ("mobius-transfer", lambda m: isinstance(m, ReesQuotient),
-     lambda m, args: check_mobius_transfer(
-         QuotientContext.from_quotient(m), args.order)),
+     lambda m, args: check_mobius_transfer(m, args.order)),
     ("hilbert-relation",
      lambda m: isinstance(m, ReesQuotient) and isinstance(m.base, FreeMonoid),
      lambda m, args: check_hilbert_relation(
-         QuotientContext.from_quotient(m),
-         args.order if args.terms is None else args.terms)),
+         m, args.order if args.terms is None else args.terms)),
 )
 
 

@@ -24,13 +24,12 @@ class TruncationError(AlgebraError):
 
 
 class MonoidMismatchError(AlgebraError):
-    """Two series over different monoids (or different rings) were combined."""
+    """Two series over different monoids (or different rings) were combined,
+    or a map between a base and its Rees quotient was given a series over
+    the wrong one of the two."""
 
 
 class ProperError(AlgebraError):
     """A series had a nonzero (or non-unit) coefficient at the identity where
     a proper series (or a 1 + proper one) was required."""
 
-
-class ContextMismatchError(AlgebraError):
-    """A series does not live over the monoid expected by a quotient context."""

@@ -11,36 +11,15 @@ by computing every quantity along its own route.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import SpecError
-from .monoid import FreeMonoid, Report, ZeroMonoid
-from .quotient_maps import QuotientContext
+from .monoid import FreeMonoid, ReesQuotient, Report, ZeroMonoid
 from .series import Series
 
 
-@dataclass(frozen=True)
-class HilbertPrefix:
-    """Counts of nonzero elements by order, degrees 0 through T."""
-
-    counts: tuple
-
-    @property
-    def terms(self) -> int:
-        return len(self.counts) - 1
-
-    def text(self, var: str = "t") -> str:
-        return poly_text(self.counts, var)
-
-    def to_json(self) -> dict:
-        return {"counts": list(self.counts)}
-
-    def __str__(self):
-        return self.text()
-
-
-def hilbert_prefix(m: ZeroMonoid, terms: int) -> HilbertPrefix:
-    """Count nonzero elements of each order from 0 up to ``terms``.
+def hilbert_prefix(m: ZeroMonoid, terms: int) -> tuple:
+    """Count nonzero elements of each order from 0 up to ``terms``, as a
+    tuple indexed by order.
 
     Each grade is held as one representative word and a multiplicity per
     residue (:meth:`ZeroMonoid.residue`); the next grade extends every
@@ -68,10 +47,10 @@ def hilbert_prefix(m: ZeroMonoid, terms: int) -> HilbertPrefix:
                     above[key] = [child, multiplicity]
         grade = above
         counts.append(sum(entry[1] for entry in grade.values()))
-    return HilbertPrefix(tuple(counts))
+    return tuple(counts)
 
 
-def check_hilbert_relation(ctx: QuotientContext, terms: int) -> Report:
+def check_hilbert_relation(q: ReesQuotient, terms: int) -> Report:
     """Quotient count plus ideal count must equal the full alphabet power.
 
     Demands a free base so the total at degree n is k**n analytically;
@@ -82,14 +61,14 @@ def check_hilbert_relation(ctx: QuotientContext, terms: int) -> Report:
     """
     if terms < 0:
         raise ValueError(f"terms must be nonnegative, got {terms}")
-    if not isinstance(ctx.base, FreeMonoid):
+    if not isinstance(q.base, FreeMonoid):
         raise SpecError(
             "the complement rule needs a free base monoid, got "
-            f"{ctx.base.describe()}")
-    k = len(ctx.base.alphabet())
-    contains = ctx.ideal.contains
+            f"{q.base.describe()}")
+    k = len(q.base.alphabet())
+    contains = q.ideal.contains
     violations = []
-    quotient_counts = list(hilbert_prefix(ctx.quotient, terms).counts)
+    quotient_counts = list(hilbert_prefix(q, terms))
     for n, survive in enumerate(quotient_counts):
         total = k ** n
         in_ideal = sum(1 for w in itertools.product(range(k), repeat=n)

@@ -28,7 +28,7 @@ import itertools
 import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import InfiniteGradeError, MembershipError, SpecError
 
@@ -246,16 +246,17 @@ class ZeroMonoid(ABC):
         """Word as a list of letter names, in display order."""
         return list(map(self.alphabet().letters.__getitem__, word))
 
-    def word_from_letters(self, names: Iterable[str]) -> Word:
+    def word_from_letters(self, names: Sequence[str]) -> Word:
         """The element spelled by letter names, built in one step.
 
         Raises :class:`SpecError` on a name outside the alphabet and
-        :class:`MembershipError` when the spelled word is not an element.
+        :class:`MembershipError`, naming the letters as given, when the
+        spelled word is not an element.
         """
         word = self._spell(names)
         if self._collapses(word):
             raise MembershipError(
-                f"{word!r} is not an element of {self.describe()}")
+                f"{names!r} is not an element of {self.describe()}")
         return word
 
     def _spell(self, names: Iterable[str]) -> Word:

@@ -297,3 +297,18 @@ def test_unknown_letter_in_series_exits_one(tmp_path, capsys):
                        "--order", "4", "--series", series)
     assert code == 1
     assert "unknown letter" in err
+
+
+def test_term_inside_the_ideal_is_named_by_its_letters(tmp_path, capsys):
+    # the reader's letters, as given, not the word's internal encoding
+    monoid = json.dumps({
+        "type": "rees",
+        "base": {"type": "free-commutative", "alphabet": ["a", "b"]},
+        "ideal": {"kind": "degree-at-least", "d": 3}})
+    f = write_series(tmp_path, "f.json", {
+        "truncation": 8, "terms": [["1", ["b", "a", "a", "b"]]]})
+    g = write_series(tmp_path, "g.json", {"truncation": 8, "terms": []})
+    assert run(capsys, "mul", "--monoid", monoid, "--series", f,
+               "--series", g) == (1, "", (
+        "error: ['b', 'a', 'a', 'b'] is not an element of Rees quotient of "
+        "free commutative monoid on {a, b} by degree-at-least(3) ideal\n"))

@@ -130,9 +130,9 @@ def test_equal_residues_have_equal_extension_residues(k):
 def test_hilbert_prefix_matches_walk_counts(k):
     for seed in range(3):
         for m in residue_monoids(k, seed):
-            assert hilbert_prefix(m, 8).counts == counts_by_filter(m, 8), \
+            assert hilbert_prefix(m, 8) == counts_by_filter(m, 8), \
                 m.describe()
-            assert hilbert_prefix(m, 0).counts == (1,)
+            assert hilbert_prefix(m, 0) == (1,)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -324,6 +324,6 @@ def test_quotient_over_base_without_extend_cannot_enumerate():
 
 
 def test_hilbert_prefix_needs_extend():
-    assert hilbert_prefix(EnumerableOnly(), 0).counts == (1,)
+    assert hilbert_prefix(EnumerableOnly(), 0) == (1,)
     with pytest.raises(InfiniteGradeError):
         hilbert_prefix(EnumerableOnly(), 2)

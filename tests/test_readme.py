@@ -1,0 +1,20 @@
+"""Every fenced ``python`` block of README.md runs as written."""
+
+import pathlib
+import re
+
+import pytest
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(),
+                    re.MULTILINE | re.DOTALL)
+
+
+def test_readme_has_python_blocks():
+    assert BLOCKS
+
+
+@pytest.mark.parametrize("source", BLOCKS,
+                         ids=[f"block{i}" for i in range(len(BLOCKS))])
+def test_readme_block_runs(source):
+    exec(compile(source, str(README), "exec"), {"__name__": "readme"})

@@ -222,7 +222,7 @@ def test_term_inside_the_ideal_names_the_quotient():
         parse_series({"truncation": 3, "terms": [["1", ["b", "b"]]]},
                      standard_words())
     assert str(err.value) == (
-        "(1, 1) is not an element of Rees quotient of free monoid on "
+        "['b', 'b'] is not an element of Rees quotient of free monoid on "
         "{a, b, c} by repeated-letter ideal")
 
 
@@ -233,11 +233,12 @@ def test_term_inside_the_inner_ideal_names_the_outer_monoid(wrap):
     if wrap:
         outer = {"type": "adjoin-zero", "base": outer}
     m = parse_monoid(outer)
-    for letters, word in ((["c", "c"], (2, 2)), (["a", "b"], (0, 1))):
+    for letters, shown in ((["c", "c"], "['c', 'c']"),
+                           (["a", "b"], "['a', 'b']")):
         with pytest.raises(MembershipError) as err:
             parse_series({"truncation": 3, "terms": [["1", letters]]}, m)
         assert str(err.value) == (
-            f"{word!r} is not an element of {m.describe()}")
+            f"{shown} is not an element of {m.describe()}")
 
 
 def test_series_json_roundtrips_on_every_builtin_monoid():
