@@ -140,8 +140,6 @@ def _cmd_hilbert(args) -> int:
 def _cmd_count(args) -> int:
     m = args.parsed_monoid
     terms = args.order if args.terms is None else args.terms
-    if terms < 0:
-        raise ValueError(f"terms must be nonnegative, got {terms}")
     grades = m.grades(terms)
     if args.format == "json":
         orders = [{"order": n, "count": len(elements),
@@ -211,6 +209,10 @@ def main(argv=None) -> int:
     try:
         if args.order < 0:
             raise ValueError(f"order must be nonnegative, got {args.order}")
+        # hilbert, count and verify take --terms; verify may have no check
+        # that reads it, and must reject it all the same
+        if getattr(args, "terms", None) is not None and args.terms < 0:
+            raise ValueError(f"terms must be nonnegative, got {args.terms}")
         args.parsed_monoid = parse_monoid(read_json_source(args.monoid))
         return _COMMANDS[args.command](args)
     except (AlgebraError, ValueError) as exc:

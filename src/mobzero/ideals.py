@@ -13,6 +13,8 @@ finite range of orders and produce a report.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from functools import reduce
+from operator import getitem, itemgetter
 from typing import Iterable
 
 from .errors import SpecError
@@ -62,7 +64,19 @@ class IdealSpec(ABC):
     def residue(self, word: Word):
         """What of ``word`` membership of its extensions depends on, given
         their order and the base's residue; see :meth:`ZeroMonoid.residue`.
-        The word itself always qualifies and merges nothing."""
+        The word itself always qualifies and merges nothing.
+
+        It is also the right key of a quotient product (see
+        ``ZeroMonoid._seam_keys``): let x, x' lie outside the ideal, with
+        equal order and equal residue, and y, y' lie outside it, with
+        equal order and equal :meth:`left_residue`.  If the base products
+        xy and x'y' are both nonzero, the ideal holds both or neither."""
+        return word
+
+    def left_residue(self, word: Word):
+        """The mirror of :meth:`residue` for a right factor: what of
+        ``word`` membership of a product ending in it depends on.  The
+        word itself always qualifies and merges nothing."""
         return word
 
     def describe(self) -> str:
@@ -110,8 +124,8 @@ class RepeatedLetterIdeal(IdealSpec):
         # neither factor repeats a letter, so only a shared one can
         return not set(x).isdisjoint(z[len(x):])
 
-    def residue(self, word: Word):
-        return frozenset(word)
+    # the letter set, on either side
+    residue = left_residue = staticmethod(frozenset)
 
 
 class MinLengthIdeal(IdealSpec):
@@ -136,6 +150,8 @@ class MinLengthIdeal(IdealSpec):
 
     def residue(self, word: Word):
         return ()
+
+    left_residue = residue
 
     def describe(self) -> str:
         return f"{self.kind}({self.n}) ideal"
@@ -166,15 +182,16 @@ class GeneratedIdeal(IdealSpec):
         # a generator that ends at an appended letter starts at most this
         # many letters before it
         self._memory = len(self.generators[-1]) - 1
+        # the last and the first _memory letters, sliced in C
+        m = self._memory
+        self.residue = itemgetter(slice(-m, None) if m else slice(0))
+        self.left_residue = itemgetter(slice(m))
+        self._root, self._dead = _factor_automaton(
+            self.generators, len(base.alphabet()))
 
     def contains(self, word: Word) -> bool:
-        for g in self.generators:
-            k = len(g)
-            if k == 0:
-                return True
-            if any(word[i:i + k] == g for i in range(len(word) - k + 1)):
-                return True
-        return False
+        # one C pass over the word through the factor automaton
+        return reduce(getitem, word, self._root) is self._dead
 
     def contains_extension(self, word: Word) -> bool:
         # a factor not ending at the last letter is a factor of the parent
@@ -195,15 +212,49 @@ class GeneratedIdeal(IdealSpec):
                     return True
         return False
 
-    def residue(self, word: Word):
-        return word[-self._memory:] if self._memory else ()
-
     def describe(self) -> str:
         shown = ", ".join(self.base.render_word(g) for g in self.generators)
         return f"generated({shown}) ideal"
 
     def _key(self):
         return (self.kind, self.base, self.generators)
+
+
+def _factor_automaton(generators, size: int):
+    """The root and dead state of an automaton over letters 0..size-1
+    that reads a word and ends in the dead state exactly when some
+    generator is a factor of it (Aho and Corasick, CACM 18(6), 1975).
+
+    A live state is the longest suffix of the letters read that is a
+    proper prefix of a generator, held as a list indexed by letter; the
+    dead state absorbs every letter.  The states are filled breadth
+    first, each with its fallback, the state its longest proper suffix
+    reaches: a letter leads where it leads from the fallback, unless it
+    extends the state to a longer prefix or to a generator.  An empty
+    generator makes the root dead.
+    """
+    dead = []
+    dead.extend([dead] * size)
+    ends = set(generators)
+    if () in ends:
+        return dead, dead
+    root = [None] * size
+    rows = {g[:i]: [None] * size for g in generators for i in range(1, len(g))}
+    rows[()] = root
+    queue = [((), None)]
+    for prefix, fallback in queue:
+        row = rows[prefix]
+        for letter in range(size):
+            word = prefix + (letter,)
+            shorter = root if fallback is None else fallback[letter]
+            if word in ends or shorter is dead:
+                row[letter] = dead
+            elif word in rows:
+                row[letter] = rows[word]
+                queue.append((word, shorter))
+            else:
+                row[letter] = shorter
+    return root, dead
 
 
 class DegreeAtLeastIdeal(MinLengthIdeal):
@@ -244,6 +295,8 @@ class EvPreimageIdeal(IdealSpec):
 
     def residue(self, word: Word):
         return self._image(word)
+
+    left_residue = residue
 
     def describe(self) -> str:
         return f"ev-preimage({self.inner.describe()})"

@@ -134,6 +134,15 @@ class Report:
         return f"FAIL {self.check}: {self.violations[0]}"
 
 
+def _same_word(word):
+    return word
+
+
+def _paired(outer, inner):
+    """A key that is the pair of two keys."""
+    return lambda word: (outer(word), inner(word))
+
+
 def _require_alphabet(alphabet):
     if not isinstance(alphabet, Alphabet):
         raise SpecError(f"expected an Alphabet, got {alphabet!r}")
@@ -145,6 +154,18 @@ class ZeroMonoid(ABC):
     Subclasses provide the raw operations on canonical words; the public
     ``product``/``order``/``factorizations`` wrappers add membership checks
     and raise :class:`MembershipError` on foreign words.
+
+    ``_seam_keys`` is a pair of functions: a *right key* of a left factor
+    and a *left key* of a right factor.  The contract: if x, x' are
+    nonzero, of equal order, with equal right keys, and y, y' are
+    nonzero, of equal order, with equal left keys, then x*y and x'*y'
+    are both ``ZERO`` or both nonzero.  ``cauchy_product`` and the star
+    solver therefore decide collapse once per pair of key classes, on
+    one representative pair, and form the surviving products with
+    ``_root_mul``.  ``None`` declares that no product of nonzero
+    elements is ``ZERO``: the loops then take a bucket of terms as one
+    class and compute no key.  The default keys are the words
+    themselves, which is exact and merges nothing.
     """
 
     # "sequence" words multiply by concatenation, "multiset" words by
@@ -203,6 +224,16 @@ class ZeroMonoid(ABC):
         """
         raise InfiniteGradeError(
             f"{self.describe()} cannot extend its elements")
+
+    # (right key, left key), or None when no product collapses; see the
+    # class docstring
+    _seam_keys = (_same_word, _same_word)
+
+    def _root_mul(self, x: Word, y: Word) -> Word:
+        """The product of two member words whose product is known to be
+        nonzero, as the root base computes it: a realization over no other
+        base multiplies by ``_mul`` itself."""
+        return self._mul(x, y)
 
     def residue(self, word: Word):
         """What of ``word`` its extensions depend on.
@@ -317,8 +348,9 @@ class FreeMonoid(ZeroMonoid):
                 and all(isinstance(i, int) and 0 <= i < self._size for i in word))
 
     # C builtins: the product and order loops call them with no Python frame
-    _mul = staticmethod(operator.add)
+    _mul = _root_mul = staticmethod(operator.add)
     _order = staticmethod(len)
+    _seam_keys = None   # no product collapses
 
     def grades(self, top):
         # itertools.product builds a grade in C, some 4x faster than extend
@@ -369,7 +401,9 @@ class FreeCommutativeMonoid(ZeroMonoid):
     def _mul(self, x, y):
         return tuple(sorted(x + y))
 
+    _root_mul = _mul
     _order = staticmethod(len)
+    _seam_keys = None   # no product collapses
 
     def grades(self, top):
         # combinations_with_replacement lists the sorted tuples of a grade
@@ -413,10 +447,13 @@ class _OverBase(ZeroMonoid):
     """A monoid whose nonzero elements are words of ``base``.
 
     Every word-level operation that a subclass does not override is the
-    base's own.  ``_order`` and ``_from_indices`` are the base's callables
-    themselves, bound at construction, so a subclass cannot override them:
-    the order tests of the product loops and the series reader then call
-    the base's kernel directly, a C builtin over a free base.
+    base's own.  ``_order``, ``_from_indices`` and ``_root_mul`` are the
+    base's callables themselves, bound at construction, so a subclass
+    cannot override them: the order tests and surviving products of the
+    product loops and the series reader then call the base's kernel
+    directly, a C builtin over a free base.  The seam keys are the
+    base's too, bound the same way; a subclass whose products collapse
+    more often than the base's must bind its own.
     """
 
     def __init__(self, base: ZeroMonoid):
@@ -424,6 +461,8 @@ class _OverBase(ZeroMonoid):
         self.word_kind = base.word_kind
         self._order = base._order
         self._from_indices = base._from_indices
+        self._root_mul = base._root_mul
+        self._seam_keys = base._seam_keys
 
     def alphabet(self):
         return self.base.alphabet()
@@ -491,6 +530,12 @@ class ReesQuotient(_OverBase):
     ideal: a grade is built from the grade below, never from the whole
     base grade.  For the same reason the factorizations of an element are
     its base factorizations.
+
+    A product collapses when the base's does or when the ideal holds the
+    base product, so each seam key is the ideal's residue on that side
+    (:meth:`IdealSpec.residue`, :meth:`IdealSpec.left_residue`) paired
+    with the base's key; over a base whose products never collapse it is
+    the ideal's residue alone.
     """
 
     def __init__(self, base: ZeroMonoid, ideal):
@@ -503,6 +548,10 @@ class ReesQuotient(_OverBase):
                 f"{ideal.describe()} is not proper: it contains the identity")
         super().__init__(base)
         self.ideal = ideal
+        keys = ideal.residue, ideal.left_residue
+        if base._seam_keys is not None:
+            keys = tuple(map(_paired, base._seam_keys, keys))
+        self._seam_keys = keys
 
     def contains(self, word):
         return self.base.contains(word) and not self.ideal.contains(word)

@@ -307,35 +307,65 @@ def scalar_mul(alpha, f: Series) -> Series:
     return Series(f.monoid, f.truncation, terms, ring, _normalized=True)
 
 
+def _seam_classes(terms: list, key) -> list:
+    """(word, coefficient) pairs of one order, grouped into the lists of
+    pairs whose words have equal ``key``; one list of them all when
+    ``key`` is None, with no key computed."""
+    if key is None:
+        return [terms]
+    classes = {}
+    for term in terms:
+        classes.setdefault(key(term[0]), []).append(term)
+    return list(classes.values())
+
+
 def cauchy_product(f: Series, g: Series) -> Series:
     """Convolution over all term pairs; products hitting zero are dropped.
 
     Pairs whose factor orders already sum beyond the truncation cannot
     contribute (the order of a product dominates the sum), so they are
-    pruned before multiplying.
+    pruned before multiplying.  The terms of each order are grouped by
+    the monoid's seam keys (``ZeroMonoid._seam_keys``), f's by the right
+    key and g's by the left one, and each pair of classes is decided on
+    one representative pair: either every product of the two classes is
+    ZERO, and none is formed, or none is, and each is the root base's
+    product.
     """
     _check_compatible(f, g)
     m = f.monoid
     ring = f.ring
     cap = min(f.truncation, g.truncation)
-    by_order = {}
-    for w, c in g.terms.items():
-        by_order.setdefault(m._order(w), []).append((w, c))
-    g_orders = sorted(by_order)
+    order = m._order
+    keys = m._seam_keys
+    right, left = keys or (None, None)
+
+    def classes(series, key):
+        by_order = {}
+        for term in series.terms.items():
+            by_order.setdefault(order(term[0]), []).append(term)
+        return [(n, _seam_classes(by_order[n], key)) for n in sorted(by_order)]
+
+    g_classes = classes(g, left)
     radd, rmul = ring.add, ring.mul
-    mul, order = m._mul, m._order
+    mul, collapses = m._root_mul, m._mul
     acc = {}
-    for x, a in f.terms.items():
-        ox = order(x)
-        for og in g_orders:
+    for ox, x_classes in classes(f, right):
+        for og, y_classes in g_classes:
             if ox + og > cap:
                 break
-            for y, b in by_order[og]:
-                z = mul(x, y)
-                if z is ZERO or order(z) > cap:
-                    continue
-                prev = acc.get(z)
-                acc[z] = rmul(a, b) if prev is None else radd(prev, rmul(a, b))
+            for xs in x_classes:
+                for ys in y_classes:
+                    if (keys is not None
+                            and collapses(xs[0][0], ys[0][0]) is ZERO):
+                        continue
+                    for x, a in xs:
+                        for y, b in ys:
+                            z = mul(x, y)
+                            if order(z) > cap:
+                                continue
+                            prev = acc.get(z)
+                            acc[z] = (rmul(a, b) if prev is None
+                                      else radd(prev, rmul(a, b)))
     terms = {w: c for w, c in acc.items() if c != ring.zero}
     return Series(m, cap, terms, ring, _normalized=True)
 
@@ -424,27 +454,39 @@ def _solve_star(m: ZeroMonoid, cap: int, ring: Ring, by_order: list) -> Series:
     product is added into the grade where it lands.  The cost is about
     sum over i >= 1 of |s_i| * |f_{<=cap-i}| pairs, which is small when s
     is sparse, as Mobius series are.
+
+    As in :func:`cauchy_product`, each grade of s is grouped by the right
+    seam key and each bucket by the left one, and collapse is decided
+    once per pair of classes.
     """
-    mul, order = m._mul, m._order
+    keys = m._seam_keys
+    right, left = keys or (None, None)
+    mul, collapses, order = m._root_mul, m._mul, m._order
     radd, rmul, rzero = ring.add, ring.mul, ring.zero
+    f_classes = [_seam_classes(bucket, left) for bucket in by_order]
     pending = [None] + [dict(bucket) for bucket in by_order]
     terms = {m.identity(): ring.one}
     for i in range(1, cap + 1):
         grade = [(x, a) for x, a in pending[i].items() if a != rzero]
         pending[i] = None
         terms.update(grade)
-        for bucket in by_order[:cap - i]:
-            for y, b in bucket:
-                for x, a in grade:
-                    z = mul(x, y)
-                    if z is ZERO:
+        x_classes = _seam_classes(grade, right)
+        for y_classes in f_classes[:cap - i]:
+            for ys in y_classes:
+                for xs in x_classes:
+                    if (keys is not None
+                            and collapses(xs[0][0], ys[0][0]) is ZERO):
                         continue
-                    oz = order(z)
-                    if oz > cap:
-                        continue
-                    acc = pending[oz]
-                    prev = acc.get(z)
-                    acc[z] = rmul(a, b) if prev is None else radd(prev, rmul(a, b))
+                    for y, b in ys:
+                        for x, a in xs:
+                            z = mul(x, y)
+                            oz = order(z)
+                            if oz > cap:
+                                continue
+                            acc = pending[oz]
+                            prev = acc.get(z)
+                            acc[z] = (rmul(a, b) if prev is None
+                                      else radd(prev, rmul(a, b)))
     return Series(m, cap, terms, ring, _normalized=True)
 
 

@@ -11,9 +11,14 @@ the term-by-term series reader parses every coefficient and spells every
 word on its own, without the coefficient memo and the letter map of
 ``parse_series``, the element filter lists a grade by testing every word
 of the root base instead of extending the grade below, the filter
-counter counts every element instead of one word per residue class, and
+counter counts every element instead of one word per residue class,
 the factorization filter tests both factors of every base factorization
-for membership in the quotient.
+for membership in the quotient, the pair-by-pair product asks the
+monoid's own ``_mul`` about every term pair instead of deciding collapse
+once per pair of seam-key classes, its star fixes each grade of
+s = 1 + s*f with a full product of the grades below by f, and the window
+scan tests every window of a word against every generator instead of
+running the factor automaton.
 
 The vector route keeps the exponent-vector arithmetic of the free
 commutative monoid, whose words are sorted letter tuples: a word's
@@ -22,6 +27,7 @@ sorted letter indices.
 """
 
 import itertools
+import random
 
 from mobzero import (
     AdjoinedZero,
@@ -32,11 +38,13 @@ from mobzero import (
     FreeMonoid,
     GeneratedIdeal,
     INTEGERS,
+    IdealSpec,
     MinLengthIdeal,
     ReesQuotient,
     RepeatedLetterIdeal,
     Series,
     SpecError,
+    ZERO,
     characteristic_series,
     star,
 )
@@ -119,6 +127,54 @@ def mobius_by_star(m, truncation, ring=INTEGERS):
     subtracted from one, and handed to ``star``."""
     return star(Series.one(m, truncation, ring)
                 - characteristic_series(m, truncation, ring))
+
+
+def cauchy_by_pairs(f, g):
+    """The Cauchy product of two series over one monoid with one ring,
+    every term pair multiplied by the monoid's ``_mul`` and dropped when
+    that is ``ZERO``."""
+    m, ring = f.monoid, f.ring
+    cap = min(f.truncation, g.truncation)
+    by_order = {}
+    for w, c in g.terms.items():
+        by_order.setdefault(m._order(w), []).append((w, c))
+    acc = {}
+    for x, a in f.terms.items():
+        ox = m._order(x)
+        for og in sorted(by_order):
+            if ox + og > cap:
+                break
+            for y, b in by_order[og]:
+                z = m._mul(x, y)
+                if z is ZERO or m._order(z) > cap:
+                    continue
+                acc[z] = ring.add(acc.get(z, ring.zero), ring.mul(a, b))
+    terms = {w: c for w, c in acc.items() if c != ring.zero}
+    return Series(m, cap, terms, ring, _normalized=True)
+
+
+def star_by_pairs(f):
+    """The star s of a proper series f, grade by grade from s = 1:
+    grade n of s = 1 + s*f is grade n of s*f, which takes only the grades
+    of s below n, so a :func:`cauchy_by_pairs` of the grades found so far
+    with f fixes the next one."""
+    m = f.monoid
+    s = Series.one(m, f.truncation, f.ring)
+    for n in range(1, f.truncation + 1):
+        grade = {w: c for w, c in cauchy_by_pairs(s, f).terms.items()
+                 if m._order(w) == n}
+        s = s + Series(m, f.truncation, grade, f.ring, _normalized=True)
+    return s
+
+
+def contains_by_windows(ideal, word):
+    """Whether some generator of a generated ideal is a factor of the
+    word, every window of the word compared with every generator."""
+    for g in ideal.generators:
+        k = len(g)
+        if any(word[i:i + k] == g for i in range(len(word) - k + 1)):
+            return True
+    return False
 
 
 def commutative_image(word, size):
@@ -220,3 +276,70 @@ def parse_series_by_terms(obj, monoid, ring=INTEGERS):
         if coeff != ring.zero:
             terms[word] = coeff
     return Series(monoid, truncation, terms, ring, _normalized=True)
+
+
+def seeded_generators(rng, k):
+    """Two to four random words of length 1 to 3, none of them empty."""
+    return [tuple(rng.randrange(k) for _ in range(rng.randint(1, 3)))
+            for _ in range(rng.randint(2, 4))]
+
+
+def builtin_quotients(k, seed):
+    """Every built-in ideal over free, free commutative and adjoin-zero
+    bases on k letters, plus a generated ideal with seeded generators."""
+    rng = random.Random(seed)
+    out = []
+    for base in (free(k), AdjoinedZero(free(k))):
+        ideals = builtin_free_ideals(base)
+        ideals.append(GeneratedIdeal(base, seeded_generators(rng, k)))
+        out.extend(ReesQuotient(base, ideal) for ideal in ideals)
+    for base in (commutative(k), AdjoinedZero(commutative(k))):
+        for d in (1, 3, 5):
+            out.append(ReesQuotient(base, DegreeAtLeastIdeal(base, d)))
+    return out
+
+
+def quotients_of_quotients(k, seed):
+    """Repeated-letter and seeded generated ideals over a min-length, a
+    fixed generated and a seeded generated quotient of the free monoid
+    on k letters."""
+    rng = random.Random(seed)
+    base = free(k)
+    # generators of length 2 and 3 leave every letter in the inner quotient
+    longer = [g + g[:1] for g in seeded_generators(rng, k) if len(g) < 3]
+    out = []
+    for inner_ideal in (MinLengthIdeal(base, 6),
+                        GeneratedIdeal(base, [(0, k - 1)]),
+                        GeneratedIdeal(base, [(0, k - 1)] + longer)):
+        inner = ReesQuotient(base, inner_ideal)
+        words = [g for g in seeded_generators(rng, k) if inner.contains(g)]
+        out.append(ReesQuotient(inner, RepeatedLetterIdeal(inner)))
+        out.append(ReesQuotient(
+            inner, GeneratedIdeal(inner, words or [(k - 1,)])))
+    return out
+
+
+class FirstAndLastLetterIdeal(IdealSpec):
+    """Commutative words that use both the first and the last letter; it
+    names no residue of its own."""
+
+    kind = "first-and-last-letter"
+
+    def contains(self, word):
+        counts = commutative_image(word, len(self.base.alphabet()))
+        return counts[0] > 0 and counts[-1] > 0
+
+
+def residue_monoids(k, seed):
+    """Every realization that defines or passes on a residue, over k
+    letters: the bases, their adjoined zeros, every built-in quotient,
+    quotients of quotients, an adjoined zero over a quotient, and
+    quotients by an ideal with the default residue, directly and pulled
+    back along the letter counts."""
+    inner = FirstAndLastLetterIdeal(commutative(k))
+    quotients = (builtin_quotients(k, seed) + quotients_of_quotients(k, seed)
+                 + [ReesQuotient(commutative(k), inner),
+                    ReesQuotient(free(k), EvPreimageIdeal(free(k), inner))])
+    return ([free(k), commutative(k), AdjoinedZero(free(k)),
+             AdjoinedZero(commutative(k)), AdjoinedZero(quotients[0])]
+            + quotients)

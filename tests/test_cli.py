@@ -280,6 +280,22 @@ def test_validation_failures_exit_one(capsys):
     assert "order" in err
 
 
+COMM_DEG3 = ('{"type": "rees", "base": {"type": "free-commutative", '
+             '"alphabet": ["a", "b"]}, '
+             '"ideal": {"kind": "degree-at-least", "d": 3}}')
+
+
+@pytest.mark.parametrize("command", ["hilbert", "count", "verify"])
+@pytest.mark.parametrize("monoid", [FREE_AB, COMM_DEG3],
+                         ids=["free", "commutative-quotient"])
+def test_negative_terms_exit_one(capsys, command, monoid):
+    # verify runs no check that reads --terms on either monoid
+    code, out, err = run(capsys, command, "--monoid", monoid, "--order", "4",
+                         "--terms", "-3")
+    assert (code, out) == (1, "")
+    assert err == "error: terms must be nonnegative, got -3\n"
+
+
 def test_directory_path_exits_one(tmp_path, capsys):
     code, out, err = run(capsys, "mobius", "--monoid", str(tmp_path))
     assert (code, out) == (1, "")

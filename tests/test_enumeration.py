@@ -3,7 +3,9 @@ filter over every word of the root base; residue classes, which
 ``hilbert_prefix`` counts by, checked against that filter's counts;
 quotient factorizations checked against the filtered base
 factorizations; membership of extensions and of quotient products,
-tested at the seam, checked against full membership."""
+tested at the seam, checked against full membership; and the seam-key
+contract that lets the product loops decide collapse once per pair of
+key classes."""
 
 import itertools
 import json
@@ -15,10 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from mobzero import (
     AdjoinedZero,
-    DegreeAtLeastIdeal,
-    EvPreimageIdeal,
     GeneratedIdeal,
-    IdealSpec,
     InfiniteGradeError,
     MinLengthIdeal,
     ReesQuotient,
@@ -35,83 +34,17 @@ from mobzero.cli import main
 
 from helpers import (
     alphabet,
-    builtin_free_ideals,
+    builtin_quotients,
     commutative,
-    commutative_image,
     counts_by_filter,
     elements_by_filter,
     factorizations_by_filter,
     free,
+    quotients_of_quotients,
+    residue_monoids,
 )
 
 TOP = 7
-
-
-def seeded_generators(rng, k):
-    """Two to four random words of length 1 to 3, none of them empty."""
-    return [tuple(rng.randrange(k) for _ in range(rng.randint(1, 3)))
-            for _ in range(rng.randint(2, 4))]
-
-
-def builtin_quotients(k, seed):
-    """Every built-in ideal over free, free commutative and adjoin-zero
-    bases on k letters, plus a generated ideal with seeded generators."""
-    rng = random.Random(seed)
-    out = []
-    for base in (free(k), AdjoinedZero(free(k))):
-        ideals = builtin_free_ideals(base)
-        ideals.append(GeneratedIdeal(base, seeded_generators(rng, k)))
-        out.extend(ReesQuotient(base, ideal) for ideal in ideals)
-    for base in (commutative(k), AdjoinedZero(commutative(k))):
-        for d in (1, 3, 5):
-            out.append(ReesQuotient(base, DegreeAtLeastIdeal(base, d)))
-    return out
-
-
-def quotients_of_quotients(k, seed):
-    """Repeated-letter and seeded generated ideals over a min-length, a
-    fixed generated and a seeded generated quotient of the free monoid
-    on k letters."""
-    rng = random.Random(seed)
-    base = free(k)
-    # generators of length 2 and 3 leave every letter in the inner quotient
-    longer = [g + g[:1] for g in seeded_generators(rng, k) if len(g) < 3]
-    out = []
-    for inner_ideal in (MinLengthIdeal(base, 6),
-                        GeneratedIdeal(base, [(0, k - 1)]),
-                        GeneratedIdeal(base, [(0, k - 1)] + longer)):
-        inner = ReesQuotient(base, inner_ideal)
-        words = [g for g in seeded_generators(rng, k) if inner.contains(g)]
-        out.append(ReesQuotient(inner, RepeatedLetterIdeal(inner)))
-        out.append(ReesQuotient(
-            inner, GeneratedIdeal(inner, words or [(k - 1,)])))
-    return out
-
-
-class FirstAndLastLetterIdeal(IdealSpec):
-    """Commutative words that use both the first and the last letter; it
-    names no residue of its own."""
-
-    kind = "first-and-last-letter"
-
-    def contains(self, word):
-        counts = commutative_image(word, len(self.base.alphabet()))
-        return counts[0] > 0 and counts[-1] > 0
-
-
-def residue_monoids(k, seed):
-    """Every realization that defines or passes on a residue, over k
-    letters: the bases, their adjoined zeros, every built-in quotient,
-    quotients of quotients, an adjoined zero over a quotient, and
-    quotients by an ideal with the default residue, directly and pulled
-    back along the letter counts."""
-    inner = FirstAndLastLetterIdeal(commutative(k))
-    quotients = (builtin_quotients(k, seed) + quotients_of_quotients(k, seed)
-                 + [ReesQuotient(commutative(k), inner),
-                    ReesQuotient(free(k), EvPreimageIdeal(free(k), inner))])
-    return ([free(k), commutative(k), AdjoinedZero(free(k)),
-             AdjoinedZero(commutative(k)), AdjoinedZero(quotients[0])]
-            + quotients)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -124,6 +57,43 @@ def test_equal_residues_have_equal_extension_residues(k):
                     residues = Counter(map(m.residue, m.extend(word)))
                     assert first.setdefault((n, m.residue(word)), residues) \
                         == residues, (m.describe(), word)
+
+
+def assert_seam_keys_hold(m, top):
+    """Check the seam-key contract of ``ZeroMonoid._seam_keys`` on every
+    pair of elements whose orders sum to at most ``top``: given the two
+    orders, the right key of x and the left key of y, x*y is always ZERO
+    or never; and never when the monoid declares no keys."""
+    keys = m._seam_keys
+    right, left = keys or (lambda word: None, lambda word: None)
+    grades = [[(x, right(x), left(x)) for x in grade]
+              for grade in m.grades(top)]
+    first = {}
+    for i, xs in enumerate(grades):
+        for j, ys in enumerate(grades[:top + 1 - i]):
+            for x, x_key, _ in xs:
+                for y, _, y_key in ys:
+                    collapses = m._mul(x, y) is ZERO
+                    assert not (keys is None and collapses), (m.describe(), x, y)
+                    assert first.setdefault((i, x_key, j, y_key), collapses) \
+                        == collapses, (m.describe(), x, y)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_equal_seam_keys_collapse_alike(k):
+    for seed in range(3):
+        for m in residue_monoids(k, seed):
+            assert_seam_keys_hold(m, 6)
+
+
+def test_bases_declare_no_collapse():
+    """Over a base, the product loops take a bucket as one class and
+    compute no key."""
+    for k in (1, 3):
+        for base in (free(k), commutative(k)):
+            assert base._seam_keys is None
+            assert AdjoinedZero(base)._seam_keys is None
+            assert AdjoinedZero(base)._root_mul == base._mul
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

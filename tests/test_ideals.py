@@ -1,4 +1,7 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mobzero import (
     DegreeAtLeastIdeal,
@@ -6,13 +9,15 @@ from mobzero import (
     GeneratedIdeal,
     IdealSpec,
     MinLengthIdeal,
+    ReesQuotient,
     RepeatedLetterIdeal,
     SpecError,
     validate_ideal,
 )
 
 from helpers import (
-    builtin_free_ideals, commutative, commutative_image, free, vector_word)
+    builtin_free_ideals, commutative, commutative_image, contains_by_windows,
+    free, vector_word)
 
 
 def w(m, text):
@@ -60,6 +65,36 @@ def test_generated_factor_containment():
     assert two.contains(w(base, "bab"))   # ab inside
     assert two.contains(w(base, "bca"))   # ca inside
     assert not two.contains(w(base, "aacc"))
+
+
+def assert_automaton_matches_windows(ideal, top):
+    k = len(ideal.base.alphabet())
+    for n in range(top + 1):
+        for word in itertools.product(range(k), repeat=n):
+            assert ideal.contains(word) == contains_by_windows(ideal, word), \
+                (ideal.generators, word)
+
+
+def test_generated_automaton_on_overlapping_generators():
+    # a generator inside a longer one's prefix, generators that overlap
+    # themselves and each other, and an ideal over a quotient base
+    base = free(3)
+    for generators in ([(1,), (0, 1, 2)], [(0, 0, 1), (0, 1, 0)],
+                       [(0, 1, 0, 1), (1, 0, 0)], [(2, 2, 2), (1, 2)],
+                       [(0,), (1,), (2,)]):
+        assert_automaton_matches_windows(GeneratedIdeal(base, generators), 7)
+    inner = ReesQuotient(base, MinLengthIdeal(base, 9))
+    assert_automaton_matches_windows(
+        GeneratedIdeal(inner, [(0, 2), (2, 1, 0)]), 7)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_generated_automaton_on_random_generators(data):
+    k = data.draw(st.integers(1, 3))
+    word = st.lists(st.integers(0, k - 1), max_size=4).map(tuple)
+    generators = data.draw(st.lists(word, min_size=1, max_size=5))
+    assert_automaton_matches_windows(GeneratedIdeal(free(k), generators), 6)
 
 
 def test_generated_normalizes_generators():

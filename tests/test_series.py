@@ -42,12 +42,15 @@ from helpers import (
     alphabet,
     builtin_free_ideals,
     builtin_monoids,
+    cauchy_by_pairs,
     commutative,
     free,
     mobius_by_star,
     mobius_by_triangular_solve,
+    residue_monoids,
     series_from_letterlists,
     standard_words,
+    star_by_pairs,
 )
 
 
@@ -427,6 +430,46 @@ def test_star_matches_power_sum_property(f):
                          ids=["free4", "commutative4"])
 def test_mobius_matches_triangular_solve_four_letters(m):
     assert mobius_series(m, 8) == mobius_by_triangular_solve(m, 8)
+
+
+def seeded_operand(rng, m, truncation, top, ring, proper=False):
+    """Every element of order at most ``top`` (at least 1 when proper),
+    each with a seeded coefficient in [-2, 2]; halved over the rationals,
+    so that the coefficients are not all integers.  Dense operands fill
+    the seam-key classes with many terms."""
+    scale = Fraction(1, 2) if ring is RATIONALS else 1
+    grades = m.grades(top)[1 if proper else 0:]
+    terms = {x: ring.from_int(rng.randint(-2, 2)) * scale
+             for grade in grades for x in grade}
+    return Series(m, truncation, terms, ring)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_products_match_per_pair_route(k):
+    """cauchy_product, star and mobius_series, which decide collapse once
+    per pair of seam-key classes, against the route that asks ``_mul``
+    about every term pair and against the factorization oracle."""
+    rng = random.Random(k)
+    for seed in range(3):
+        for m in residue_monoids(k, seed):
+            for ring in RINGS:
+                one = Series.one(m, 5, ring)
+                f = seeded_operand(rng, m, 5, 3, ring)
+                g = seeded_operand(rng, m, 5, 3, ring)
+                fg = cauchy_product(f, g)
+                assert fg == cauchy_by_pairs(f, g), m.describe()
+                assert fg == convolve_oracle(f, g), m.describe()
+
+                h = seeded_operand(rng, m, 4, 2, ring, proper=True)
+                s = star(h)
+                assert s == star_by_pairs(h), m.describe()
+                assert s == Series.one(m, 4, ring) + convolve_oracle(s, h)
+
+                zeta = characteristic_series(m, 5, ring)
+                mu = mobius_series(m, 5, ring)
+                assert mu == star_by_pairs(one - zeta), m.describe()
+                assert convolve_oracle(mu, zeta) == one, m.describe()
+                assert convolve_oracle(zeta, mu) == one, m.describe()
 
 
 # -- characteristic and mobius series ---------------------------------------
