@@ -49,18 +49,6 @@ class IdealSpec(ABC):
         """
         return self.contains(word)
 
-    def contains_product(self, x: Word, z: Word) -> bool:
-        """``contains(z)`` for a base product z = xy, where x and y are
-        both known to lie outside the ideal.
-
-        Every factor of z that lies within x or within y is outside the
-        ideal, so an override need only check the factors that cross the
-        seam between them.  :meth:`contains_extension` is the case of a
-        y of order 1; it stays apart because its single new factor is a
-        suffix, which is cheaper to test than a seam.
-        """
-        return self.contains(z)
-
     def residue(self, word: Word):
         """What of ``word`` membership of its extensions depends on, given
         their order and the base's residue; see :meth:`ZeroMonoid.residue`.
@@ -120,10 +108,6 @@ class RepeatedLetterIdeal(IdealSpec):
     def contains_extension(self, word: Word) -> bool:
         return word[-1] in word[:-1]
 
-    def contains_product(self, x: Word, z: Word) -> bool:
-        # neither factor repeats a letter, so only a shared one can
-        return not set(x).isdisjoint(z[len(x):])
-
     # the letter set, on either side
     residue = left_residue = staticmethod(frozenset)
 
@@ -179,11 +163,10 @@ class GeneratedIdeal(IdealSpec):
             raise SpecError("generated ideal needs at least one generator")
         # dedupe; keep a canonical order so equal generator sets compare equal
         self.generators = tuple(sorted(set(generators), key=lambda w: (len(w), w)))
-        # a generator that ends at an appended letter starts at most this
-        # many letters before it
-        self._memory = len(self.generators[-1]) - 1
-        # the last and the first _memory letters, sliced in C
-        m = self._memory
+        # a generator that ends at an appended letter starts at most m
+        # letters before it; the residues are the last and the first m
+        # letters, sliced in C
+        m = len(self.generators[-1]) - 1
         self.residue = itemgetter(slice(-m, None) if m else slice(0))
         self.left_residue = itemgetter(slice(m))
         self._root, self._dead = _factor_automaton(
@@ -199,17 +182,6 @@ class GeneratedIdeal(IdealSpec):
         for g in self.generators:
             if word[n - len(g):] == g:
                 return True
-        return False
-
-    def contains_product(self, x: Word, z: Word) -> bool:
-        # a window crossing the seam ends 1 to _memory letters after it.
-        # One that starts in y is a factor of y and never matches; a start
-        # below 0 wraps around and slices fewer than len(g) letters.
-        n = len(x)
-        for end in range(n + 1, min(n + self._memory, len(z)) + 1):
-            for g in self.generators:
-                if z[end - len(g):end] == g:
-                    return True
         return False
 
     def describe(self) -> str:

@@ -159,9 +159,10 @@ class ZeroMonoid(ABC):
     and a *left key* of a right factor.  The contract: if x, x' are
     nonzero, of equal order, with equal right keys, and y, y' are
     nonzero, of equal order, with equal left keys, then x*y and x'*y'
-    are both ``ZERO`` or both nonzero.  ``cauchy_product`` and the star
-    solver therefore decide collapse once per pair of key classes, on
-    one representative pair, and form the surviving products with
+    are both ``ZERO`` or both nonzero.  The series product kernel
+    (``series._add_products``, shared by ``cauchy_product`` and the star
+    solver) therefore decides collapse once per pair of key classes, on
+    one representative pair, and forms the surviving products with
     ``_root_mul``.  ``None`` declares that no product of nonzero
     elements is ``ZERO``: the loops then take a bucket of terms as one
     class and compute no key.  The default keys are the words
@@ -558,7 +559,7 @@ class ReesQuotient(_OverBase):
 
     def _mul(self, x, y):
         z = self.base._mul(x, y)
-        if z is ZERO or self.ideal.contains_product(x, z):
+        if z is ZERO or self.ideal.contains(z):
             return ZERO
         return z
 

@@ -236,9 +236,13 @@ class Series:
                 and other.terms == self.terms)
 
     def __add__(self, other):
+        if not isinstance(other, Series):
+            return NotImplemented
         return add(self, other)
 
     def __sub__(self, other):
+        if not isinstance(other, Series):
+            return NotImplemented
         return add(self, scalar_mul(self.ring.neg(self.ring.one), other))
 
     def __neg__(self):
@@ -319,25 +323,55 @@ def _seam_classes(terms: list, key) -> list:
     return list(classes.values())
 
 
+def _add_products(m: ZeroMonoid, ring: Ring, cap: int, pending: list,
+                  x_classes: list, y_orders: list):
+    """Add a*b at xy into ``pending[ord(xy)]`` for every term (x, a) of
+    the classes ``x_classes`` and (y, b) of the class lists
+    ``y_orders``, dropping products of order above ``cap``.
+
+    The x terms are one order's seam classes by the right key, and each
+    entry of ``y_orders`` is one order's classes by the left key (see
+    ``ZeroMonoid._seam_keys``).  Each pair of classes is decided on one
+    representative pair: either every product of the two classes is
+    ZERO, and none is formed, or none is, and each is the root base's
+    product.  :func:`cauchy_product` and the star solver both call it.
+    """
+    keys = m._seam_keys
+    mul, collapses, order = m._root_mul, m._mul, m._order
+    radd, rmul = ring.add, ring.mul
+    for xs in x_classes:
+        for y_classes in y_orders:
+            for ys in y_classes:
+                if keys is not None and collapses(xs[0][0], ys[0][0]) is ZERO:
+                    continue
+                for x, a in xs:
+                    for y, b in ys:
+                        z = mul(x, y)
+                        oz = order(z)
+                        if oz > cap:
+                            continue
+                        acc = pending[oz]
+                        prev = acc.get(z)
+                        acc[z] = (rmul(a, b) if prev is None
+                                  else radd(prev, rmul(a, b)))
+
+
 def cauchy_product(f: Series, g: Series) -> Series:
     """Convolution over all term pairs; products hitting zero are dropped.
 
     Pairs whose factor orders already sum beyond the truncation cannot
     contribute (the order of a product dominates the sum), so they are
     pruned before multiplying.  The terms of each order are grouped by
-    the monoid's seam keys (``ZeroMonoid._seam_keys``), f's by the right
-    key and g's by the left one, and each pair of classes is decided on
-    one representative pair: either every product of the two classes is
-    ZERO, and none is formed, or none is, and each is the root base's
-    product.
+    the monoid's seam keys, f's by the right key and g's by the left
+    one, and :func:`_add_products` multiplies each order of f against
+    the orders of g it can meet, into one accumulator.
     """
     _check_compatible(f, g)
     m = f.monoid
     ring = f.ring
     cap = min(f.truncation, g.truncation)
     order = m._order
-    keys = m._seam_keys
-    right, left = keys or (None, None)
+    right, left = m._seam_keys or (None, None)
 
     def classes(series, key):
         by_order = {}
@@ -346,26 +380,11 @@ def cauchy_product(f: Series, g: Series) -> Series:
         return [(n, _seam_classes(by_order[n], key)) for n in sorted(by_order)]
 
     g_classes = classes(g, left)
-    radd, rmul = ring.add, ring.mul
-    mul, collapses = m._root_mul, m._mul
     acc = {}
+    pending = [acc] * (cap + 1)
     for ox, x_classes in classes(f, right):
-        for og, y_classes in g_classes:
-            if ox + og > cap:
-                break
-            for xs in x_classes:
-                for ys in y_classes:
-                    if (keys is not None
-                            and collapses(xs[0][0], ys[0][0]) is ZERO):
-                        continue
-                    for x, a in xs:
-                        for y, b in ys:
-                            z = mul(x, y)
-                            if order(z) > cap:
-                                continue
-                            prev = acc.get(z)
-                            acc[z] = (rmul(a, b) if prev is None
-                                      else radd(prev, rmul(a, b)))
+        _add_products(m, ring, cap, pending, x_classes,
+                      [ys for og, ys in g_classes if ox + og <= cap])
     terms = {w: c for w, c in acc.items() if c != ring.zero}
     return Series(m, cap, terms, ring, _normalized=True)
 
@@ -455,14 +474,12 @@ def _solve_star(m: ZeroMonoid, cap: int, ring: Ring, by_order: list) -> Series:
     sum over i >= 1 of |s_i| * |f_{<=cap-i}| pairs, which is small when s
     is sparse, as Mobius series are.
 
-    As in :func:`cauchy_product`, each grade of s is grouped by the right
-    seam key and each bucket by the left one, and collapse is decided
-    once per pair of classes.
+    Each grade of s is grouped by the right seam key and each bucket by
+    the left one, and :func:`_add_products` adds the grade's products
+    into the pending grades.
     """
-    keys = m._seam_keys
-    right, left = keys or (None, None)
-    mul, collapses, order = m._root_mul, m._mul, m._order
-    radd, rmul, rzero = ring.add, ring.mul, ring.zero
+    right, left = m._seam_keys or (None, None)
+    rzero = ring.zero
     f_classes = [_seam_classes(bucket, left) for bucket in by_order]
     pending = [None] + [dict(bucket) for bucket in by_order]
     terms = {m.identity(): ring.one}
@@ -470,23 +487,8 @@ def _solve_star(m: ZeroMonoid, cap: int, ring: Ring, by_order: list) -> Series:
         grade = [(x, a) for x, a in pending[i].items() if a != rzero]
         pending[i] = None
         terms.update(grade)
-        x_classes = _seam_classes(grade, right)
-        for y_classes in f_classes[:cap - i]:
-            for ys in y_classes:
-                for xs in x_classes:
-                    if (keys is not None
-                            and collapses(xs[0][0], ys[0][0]) is ZERO):
-                        continue
-                    for y, b in ys:
-                        for x, a in xs:
-                            z = mul(x, y)
-                            oz = order(z)
-                            if oz > cap:
-                                continue
-                            acc = pending[oz]
-                            prev = acc.get(z)
-                            acc[z] = (rmul(a, b) if prev is None
-                                      else radd(prev, rmul(a, b)))
+        _add_products(m, ring, cap, pending, _seam_classes(grade, right),
+                      f_classes[:cap - i])
     return Series(m, cap, terms, ring, _normalized=True)
 
 

@@ -236,6 +236,20 @@ def test_scalar_mul_rejects_bools(flag):
         f * flag
 
 
+def test_sum_and_difference_reject_scalars():
+    """A scalar is not a series: adding or subtracting one raises
+    TypeError, not an error from inside the series arithmetic."""
+    f = Series.one(free(2), 3)
+    with pytest.raises(TypeError):
+        f + 1
+    with pytest.raises(TypeError):
+        f - 1
+    with pytest.raises(TypeError):
+        f + 0.5
+    with pytest.raises(TypeError):
+        f - Fraction(1, 2)
+
+
 def test_scalar_mul_rejects_fraction_on_mod_series():
     with pytest.raises(TypeError):
         scalar_mul(Fraction(1, 2), Series.one(free(2), 3, IntegerModRing(7)))
