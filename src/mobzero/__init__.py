@@ -31,7 +31,6 @@ from .monoid import (
     ZERO,
     Zero,
     ZeroMonoid,
-    validate_locally_finite,
 )
 from .ideals import (
     DegreeAtLeastIdeal,
@@ -40,7 +39,6 @@ from .ideals import (
     IdealSpec,
     MinLengthIdeal,
     RepeatedLetterIdeal,
-    validate_ideal,
 )
 from .series import (
     INTEGERS,
@@ -62,25 +60,20 @@ from .series import (
     random_series,
     scalar_mul,
     star,
-    star_by_powers,
     zeta_transform_left,
     zeta_transform_right,
 )
 from .quotient_maps import (
-    check_lemma_inverse_via_section,
     check_mobius_transfer,
     phi,
     section,
 )
 from .hilbert import (
     check_hilbert_relation,
-    evaluation_map,
     hilbert_prefix,
     poly_text,
 )
 from .specio import (
-    ideal_to_json,
-    monoid_to_json,
     parse_ideal,
     parse_monoid,
     parse_series,

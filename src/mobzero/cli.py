@@ -75,13 +75,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_series(args, expected: int) -> list:
-    out = []
-    for source in args.series:
-        obj = read_json_source(source)
-        out.append(parse_series(obj, args.parsed_monoid,
-                                expected_truncation=expected))
-    return out
+def _load_series(args, count: int) -> list:
+    """The ``--series`` operands, exactly ``count`` of them, read over the
+    monoid at the requested order."""
+    if len(args.series) != count:
+        raise AlgebraError(
+            f"{args.command} needs exactly {count} --series operand"
+            f"{'s' if count != 1 else ''}, got {len(args.series)}")
+    return [parse_series(read_json_source(source), args.parsed_monoid,
+                         expected_truncation=args.order)
+            for source in args.series]
 
 
 def _emit_series(f, fmt: str):
@@ -91,35 +94,25 @@ def _emit_series(f, fmt: str):
         print(f.render())
 
 
-def _require_operands(args, count: int):
-    if len(args.series) != count:
-        raise AlgebraError(
-            f"{args.command} needs exactly {count} --series operand"
-            f"{'s' if count != 1 else ''}, got {len(args.series)}")
-
-
 def _cmd_mobius(args) -> int:
     _emit_series(mobius_series(args.parsed_monoid, args.order), args.format)
     return 0
 
 
 def _cmd_star(args) -> int:
-    _require_operands(args, 1)
-    (f,) = _load_series(args, args.order)
+    (f,) = _load_series(args, 1)
     _emit_series(star(f), args.format)
     return 0
 
 
 def _cmd_mul(args) -> int:
-    _require_operands(args, 2)
-    f, g = _load_series(args, args.order)
+    f, g = _load_series(args, 2)
     _emit_series(cauchy_product(f, g), args.format)
     return 0
 
 
 def _cmd_invert(args) -> int:
-    _require_operands(args, 1)
-    (g,) = _load_series(args, args.order)
+    (g,) = _load_series(args, 1)
     if args.side == "left":
         _emit_series(mobius_invert_left(g), args.format)
     else:
@@ -128,8 +121,7 @@ def _cmd_invert(args) -> int:
 
 
 def _cmd_hilbert(args) -> int:
-    terms = args.order if args.terms is None else args.terms
-    counts = hilbert_prefix(args.parsed_monoid, terms)
+    counts = hilbert_prefix(args.parsed_monoid, args.terms)
     if args.format == "json":
         print(json.dumps({"counts": list(counts)}))
     else:
@@ -139,8 +131,7 @@ def _cmd_hilbert(args) -> int:
 
 def _cmd_count(args) -> int:
     m = args.parsed_monoid
-    terms = args.order if args.terms is None else args.terms
-    grades = m.grades(terms)
+    grades = m.grades(args.terms)
     if args.format == "json":
         orders = [{"order": n, "count": len(elements),
                    "elements": [m.word_letters(w) for w in elements]}
@@ -166,8 +157,7 @@ _VERIFY_CHECKS = (
      lambda m, args: check_mobius_transfer(m, args.order)),
     ("hilbert-relation",
      lambda m: isinstance(m, ReesQuotient) and isinstance(m.base, FreeMonoid),
-     lambda m, args: check_hilbert_relation(
-         m, args.order if args.terms is None else args.terms)),
+     lambda m, args: check_hilbert_relation(m, args.terms)),
 )
 
 
@@ -209,9 +199,12 @@ def main(argv=None) -> int:
     try:
         if args.order < 0:
             raise ValueError(f"order must be nonnegative, got {args.order}")
-        # hilbert, count and verify take --terms; verify may have no check
-        # that reads it, and must reject it all the same
-        if getattr(args, "terms", None) is not None and args.terms < 0:
+        # hilbert, count and verify take --terms, which defaults to the
+        # order; verify may have no check that reads it, and must reject a
+        # negative one all the same
+        if getattr(args, "terms", None) is None:
+            args.terms = args.order
+        elif args.terms < 0:
             raise ValueError(f"terms must be nonnegative, got {args.terms}")
         args.parsed_monoid = parse_monoid(read_json_source(args.monoid))
         return _COMMANDS[args.command](args)

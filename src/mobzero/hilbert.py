@@ -1,4 +1,4 @@
-"""Graded dimension counts and the one-variable shadow of a series.
+"""Graded dimension counts of monoids and their quotients.
 
 For a quotient of a free monoid by an ideal, the words of each length
 that survive the quotient form a basis of the corresponding graded piece
@@ -14,7 +14,6 @@ import itertools
 
 from .errors import SpecError
 from .monoid import FreeMonoid, ReesQuotient, Report, ZeroMonoid
-from .series import Series
 
 
 def hilbert_prefix(m: ZeroMonoid, terms: int) -> tuple:
@@ -79,29 +78,6 @@ def check_hilbert_relation(q: ReesQuotient, terms: int) -> Report:
                 f"!= {total} words")
     notes = (f"quotient counts: {quotient_counts}",)
     return Report("hilbert-relation", tuple(violations), notes)
-
-
-def evaluation_map(f: Series, terms: int) -> list:
-    """Collapse a free-monoid series to one variable: every word of
-    length n contributes its coefficient to the t**n slot.
-
-    Returns ring values indexed 0..min(terms, truncation); higher slots
-    are unknown under the truncation, so they are not reported.
-    """
-    if terms < 0:
-        raise ValueError(f"terms must be nonnegative, got {terms}")
-    if not isinstance(f.monoid, FreeMonoid):
-        raise SpecError(
-            "evaluation to one variable needs a series over a free monoid, "
-            f"got one over {f.monoid.describe()}")
-    ring = f.ring
-    top = min(terms, f.truncation)
-    slots = [ring.zero] * (top + 1)
-    for word, coeff in f.terms.items():
-        n = len(word)
-        if n <= top:
-            slots[n] = ring.add(slots[n], coeff)
-    return slots
 
 
 def poly_text(coeffs, var: str = "t") -> str:

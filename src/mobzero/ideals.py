@@ -6,8 +6,8 @@ predicates are the data from which quotients with an absorbing zero are
 built; nothing in this module touches series.
 
 Closure is a promise of the predicate, not something the constructors can
-see, so :func:`validate_ideal` exists to probe it (and properness) over a
-finite range of orders and produce a report.
+see; the test suite probes it for every built-in kind over a finite range
+of orders.  Properness is checked when a quotient is built.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from operator import getitem, itemgetter
 from typing import Iterable
 
 from .errors import SpecError
-from .monoid import FreeCommutativeMonoid, Report, Word, ZERO, ZeroMonoid
+from .monoid import FreeCommutativeMonoid, Word, ZeroMonoid
 
 
 class IdealSpec(ABC):
@@ -275,42 +275,3 @@ class EvPreimageIdeal(IdealSpec):
 
     def _key(self):
         return (self.kind, self.base, self.inner)
-
-
-def validate_ideal(spec: IdealSpec, max_order: int) -> Report:
-    """Probe a predicate for ideal-hood over a finite range of orders.
-
-    Checks that the identity is excluded (properness) and that membership
-    absorbs multiplication on both sides for every pair of words whose
-    orders sum to at most max_order.  A clean report is evidence, not
-    proof; the bound says how far the search went.
-    """
-    if max_order < 1:
-        raise ValueError(f"max_order must be at least 1, got {max_order}")
-    base = spec.base
-    violations = []
-    if spec.contains(base.identity()):
-        violations.append("identity belongs to the ideal (not proper)")
-    grades = base.grades(max_order)
-    members = [[w for w in grade if spec.contains(w)] for grade in grades]
-    for i in range(max_order + 1):
-        for u in members[i]:
-            for j in range(max_order + 1 - i):
-                for v in grades[j]:
-                    left = base._mul(v, u)
-                    if left is not ZERO and not spec.contains(left):
-                        violations.append(
-                            f"not left-absorbing: "
-                            f"{base.render_word(v)}*{base.render_word(u)} "
-                            f"escapes the ideal")
-                    right = base._mul(u, v)
-                    if right is not ZERO and not spec.contains(right):
-                        violations.append(
-                            f"not right-absorbing: "
-                            f"{base.render_word(u)}*{base.render_word(v)} "
-                            f"escapes the ideal")
-                    if len(violations) >= 5:
-                        return Report(f"ideal({spec.describe()})",
-                                      tuple(violations))
-    notes = (f"checked all products with order sum at most {max_order}",)
-    return Report(f"ideal({spec.describe()})", tuple(violations), notes)

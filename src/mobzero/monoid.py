@@ -582,49 +582,3 @@ class ReesQuotient(_OverBase):
 
     def _key(self):
         return self.base, self.ideal
-
-
-def validate_locally_finite(m: ZeroMonoid, max_order: int) -> Report:
-    """Sample-bounded check that m behaves like a locally finite monoid.
-
-    Scans all elements of order at most max_order and reports every
-    non-identity idempotent, every nonzero product whose order drops below
-    the sum of the factor orders, and every product that returns one of its
-    own non-trivial factors (which forces unboundedly many factorizations).
-    An empty report means no violation was found below the bound; it is not
-    a proof for infinite realizations.
-    """
-    if max_order < 1:
-        raise ValueError(f"max_order must be at least 1, got {max_order}")
-    grades = m.grades(max_order)
-    one = m.identity()
-    violations = []
-
-    for n in range(1, max_order + 1):
-        for x in grades[n]:
-            if m._mul(x, x) == x:
-                violations.append(
-                    f"non-identity idempotent: {m.render_word(x)}")
-
-    for i in range(max_order + 1):
-        for j in range(max_order + 1 - i):
-            for x in grades[i]:
-                for y in grades[j]:
-                    z = m._mul(x, y)
-                    if z is ZERO:
-                        continue
-                    if m._order(z) < i + j:
-                        violations.append(
-                            f"order of {m.render_word(x)}*{m.render_word(y)} "
-                            f"is {m._order(z)} < {i} + {j}")
-                    if x != y:
-                        if x != one and z == y:
-                            violations.append(
-                                f"{m.render_word(x)}*{m.render_word(y)} = "
-                                f"{m.render_word(y)}: unboundedly many factorizations")
-                        elif y != one and z == x:
-                            violations.append(
-                                f"{m.render_word(x)}*{m.render_word(y)} = "
-                                f"{m.render_word(x)}: unboundedly many factorizations")
-
-    return Report("locally-finite", tuple(violations))

@@ -8,23 +8,21 @@ series supported inside the ideal.  The section reads a quotient series
 back over the base unchanged, which is well defined because quotient
 words are base words outside the ideal.  The section is linear but not
 multiplicative: products that die in the quotient come back to life over
-the base.  phi after section is the identity all the same, and that
-one-sided inverse is enough to transport inverses downstairs, which is
-what the two check functions exercise.
+the base.  phi after section is the identity all the same.
+:func:`check_mobius_transfer` checks that phi carries the base's Mobius
+series onto the quotient's.
 """
 
 from __future__ import annotations
 
-from .errors import MonoidMismatchError, ProperError
+from .errors import MonoidMismatchError
 from .monoid import DEFAULT_TRUNCATION, Report, ReesQuotient
 from .series import (
     INTEGERS,
     Ring,
     Series,
-    cauchy_product,
     first_difference,
     mobius_series,
-    star,
 )
 
 
@@ -51,37 +49,6 @@ def section(q: ReesQuotient, f: Series) -> Series:
             f"got one over {f.monoid.describe()}")
     return Series(q.base, f.truncation, dict(f.terms), f.ring,
                   _normalized=True)
-
-
-def check_lemma_inverse_via_section(q: ReesQuotient, f: Series) -> Report:
-    """Compare two routes to the inverse of a quotient series with
-    augmentation one: invert in the quotient directly, or lift by the
-    section, invert over the base, and project back down.
-    """
-    if f.monoid != q:
-        raise MonoidMismatchError(
-            f"expected a series over {q.describe()}, "
-            f"got one over {f.monoid.describe()}")
-    if f.augmentation() != f.ring.one:
-        raise ProperError(
-            "inverse-via-section needs augmentation one, got "
-            f"{f.ring.render(f.augmentation())}")
-    one_q = Series.one(q, f.truncation, f.ring)
-    direct = star(one_q - f)
-    lifted = section(q, f)
-    one_b = Series.one(q.base, f.truncation, f.ring)
-    upstairs = star(one_b - lifted)
-    via_section = phi(q, upstairs)
-    violations = []
-    if direct != via_section:
-        violations.append(
-            f"inverses disagree ({first_difference(direct, via_section)})")
-    else:
-        check = cauchy_product(direct, f)
-        if check != one_q:
-            violations.append(
-                f"claimed inverse fails ({first_difference(check, one_q)})")
-    return Report("inverse-via-section", tuple(violations))
 
 
 def check_mobius_transfer(q: ReesQuotient,

@@ -15,8 +15,8 @@ as well.
 
 from __future__ import annotations
 
+import collections
 import itertools
-import math
 import operator
 from fractions import Fraction
 from typing import Optional
@@ -175,12 +175,6 @@ class Series:
     def is_proper(self) -> bool:
         return self.augmentation() == self.ring.zero
 
-    def min_order(self):
-        """Least order in the support; infinity for the zero series."""
-        if not self.terms:
-            return math.inf
-        return min(self.monoid._order(w) for w in self.terms)
-
     def items_sorted(self) -> list:
         order = self.monoid._order
         return sorted(self.terms.items(), key=lambda kv: (order(kv[0]), kv[0]))
@@ -323,7 +317,7 @@ def _seam_classes(terms: list, key) -> list:
     return list(classes.values())
 
 
-def _add_products(m: ZeroMonoid, ring: Ring, cap: int, pending: list,
+def _add_products(m: ZeroMonoid, ring: Ring, cap: int, pending,
                   x_classes: list, y_orders: list):
     """Add a*b at xy into ``pending[ord(xy)]`` for every term (x, a) of
     the classes ``x_classes`` and (y, b) of the class lists
@@ -381,7 +375,9 @@ def cauchy_product(f: Series, g: Series) -> Series:
 
     g_classes = classes(g, left)
     acc = {}
-    pending = [acc] * (cap + 1)
+    # every order indexes the one accumulator, with no slot per order:
+    # a product of a few terms must not cost memory in the truncation
+    pending = collections.defaultdict(lambda: acc)
     for ox, x_classes in classes(f, right):
         _add_products(m, ring, cap, pending, x_classes,
                       [ys for og, ys in g_classes if ox + og <= cap])
@@ -490,30 +486,6 @@ def _solve_star(m: ZeroMonoid, cap: int, ring: Ring, by_order: list) -> Series:
         _add_products(m, ring, cap, pending, _seam_classes(grade, right),
                       f_classes[:cap - i])
     return Series(m, cap, terms, ring, _normalized=True)
-
-
-def star_by_powers(f: Series):
-    """Star as the sum of all powers of a proper series, with the number of
-    nonzero powers summed (including the zeroth).
-
-    This is the independent oracle for :func:`star`.  Each power raises
-    the minimal support order, so powers beyond the truncation vanish and
-    the sum is finite and exact.  The loop stops as soon as a power
-    vanishes outright, which happens for every proper series over a finite
-    monoid (nilpotency).  It costs up to N full Cauchy products.
-    """
-    _require_proper(f)
-    ring = f.ring
-    total = Series.one(f.monoid, f.truncation, ring)
-    p = total
-    count = 1
-    for _ in range(f.truncation):
-        p = cauchy_product(p, f)
-        if p.is_zero():
-            break
-        total = add(total, p)
-        count += 1
-    return total, count
 
 
 def characteristic_series(m: ZeroMonoid, truncation: int = DEFAULT_TRUNCATION,

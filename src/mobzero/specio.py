@@ -1,4 +1,5 @@
-"""JSON descriptions of monoids, ideals, and series, and their parsers.
+"""Parsers of JSON descriptions of monoids, ideals and series, and the
+series writer.
 
 The wire formats are deliberately small:
 
@@ -115,19 +116,6 @@ def parse_monoid(obj: dict) -> ZeroMonoid:
     raise SpecError(f"unknown monoid type {kind!r}")
 
 
-def monoid_to_json(m: ZeroMonoid) -> dict:
-    if isinstance(m, FreeMonoid):
-        return {"type": "free", "alphabet": list(m.alphabet())}
-    if isinstance(m, FreeCommutativeMonoid):
-        return {"type": "free-commutative", "alphabet": list(m.alphabet())}
-    if isinstance(m, AdjoinedZero):
-        return {"type": "adjoin-zero", "base": monoid_to_json(m.base)}
-    if isinstance(m, ReesQuotient):
-        return {"type": "rees", "base": monoid_to_json(m.base),
-                "ideal": ideal_to_json(m.ideal)}
-    raise SpecError(f"cannot serialize {m.describe()}")
-
-
 def parse_ideal(obj: dict, base: ZeroMonoid) -> IdealSpec:
     kind = _field(obj, "kind", "ideal")
     if kind == "repeated-letter":
@@ -154,22 +142,6 @@ def parse_ideal(obj: dict, base: ZeroMonoid) -> IdealSpec:
         inner_base = FreeCommutativeMonoid(base.alphabet())
         return EvPreimageIdeal(base, parse_ideal(inner_obj, inner_base))
     raise SpecError(f"unknown ideal kind {kind!r}")
-
-
-def ideal_to_json(spec: IdealSpec) -> dict:
-    if isinstance(spec, RepeatedLetterIdeal):
-        return {"kind": "repeated-letter"}
-    # a degree-at-least ideal is a min-length ideal over a commutative base
-    if isinstance(spec, DegreeAtLeastIdeal):
-        return {"kind": "degree-at-least", "d": spec.n}
-    if isinstance(spec, MinLengthIdeal):
-        return {"kind": "min-length", "n": spec.n}
-    if isinstance(spec, GeneratedIdeal):
-        return {"kind": "generated",
-                "words": [spec.base.word_letters(g) for g in spec.generators]}
-    if isinstance(spec, EvPreimageIdeal):
-        return {"kind": "ev-preimage", "inner": ideal_to_json(spec.inner)}
-    raise SpecError(f"cannot serialize {spec.describe()}")
 
 
 def parse_series(obj: dict, monoid: ZeroMonoid, ring: Ring = INTEGERS,

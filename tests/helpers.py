@@ -20,6 +20,14 @@ s = 1 + s*f with a full product of the grades below by f, and the window
 scan tests every window of a word against every generator instead of
 running the factor automaton.
 
+The power-sum star adds up the powers of a proper series until one
+vanishes; it is the oracle for ``star``.  The section route inverts a
+quotient series with augmentation one by lifting it to the base,
+inverting it there and projecting the inverse back down.  Two probes
+search a finite range of orders: one for products that break local
+finiteness, the other for products that escape an ideal or for an ideal
+that holds the identity.
+
 The vector route keeps the exponent-vector arithmetic of the free
 commutative monoid, whose words are sorted letter tuples: a word's
 letter counts, their componentwise sum, and a vector expanded back into
@@ -40,14 +48,24 @@ from mobzero import (
     INTEGERS,
     IdealSpec,
     MinLengthIdeal,
+    MonoidMismatchError,
+    ProperError,
     ReesQuotient,
     RepeatedLetterIdeal,
+    Report,
     Series,
     SpecError,
     ZERO,
+    ZeroMonoid,
+    add,
+    cauchy_product,
     characteristic_series,
+    first_difference,
+    phi,
+    section,
     star,
 )
+from mobzero.series import _require_proper
 from mobzero.specio import _field, _is_integer, _letters, _parse_coefficient
 
 LETTERS = ("a", "b", "c", "d")
@@ -165,6 +183,61 @@ def star_by_pairs(f):
                  if m._order(w) == n}
         s = s + Series(m, f.truncation, grade, f.ring, _normalized=True)
     return s
+
+
+def star_by_powers(f: Series):
+    """Star as the sum of all powers of a proper series, with the number of
+    nonzero powers summed (including the zeroth).
+
+    This is the independent oracle for :func:`star`.  Each power raises
+    the minimal support order, so powers beyond the truncation vanish and
+    the sum is finite and exact.  The loop stops as soon as a power
+    vanishes outright, which happens for every proper series over a finite
+    monoid (nilpotency).  It costs up to N full Cauchy products.
+    """
+    _require_proper(f)
+    ring = f.ring
+    total = Series.one(f.monoid, f.truncation, ring)
+    p = total
+    count = 1
+    for _ in range(f.truncation):
+        p = cauchy_product(p, f)
+        if p.is_zero():
+            break
+        total = add(total, p)
+        count += 1
+    return total, count
+
+
+def check_lemma_inverse_via_section(q: ReesQuotient, f: Series) -> Report:
+    """Compare two routes to the inverse of a quotient series with
+    augmentation one: invert in the quotient directly, or lift by the
+    section, invert over the base, and project back down.
+    """
+    if f.monoid != q:
+        raise MonoidMismatchError(
+            f"expected a series over {q.describe()}, "
+            f"got one over {f.monoid.describe()}")
+    if f.augmentation() != f.ring.one:
+        raise ProperError(
+            "inverse-via-section needs augmentation one, got "
+            f"{f.ring.render(f.augmentation())}")
+    one_q = Series.one(q, f.truncation, f.ring)
+    direct = star(one_q - f)
+    lifted = section(q, f)
+    one_b = Series.one(q.base, f.truncation, f.ring)
+    upstairs = star(one_b - lifted)
+    via_section = phi(q, upstairs)
+    violations = []
+    if direct != via_section:
+        violations.append(
+            f"inverses disagree ({first_difference(direct, via_section)})")
+    else:
+        check = cauchy_product(direct, f)
+        if check != one_q:
+            violations.append(
+                f"claimed inverse fails ({first_difference(check, one_q)})")
+    return Report("inverse-via-section", tuple(violations))
 
 
 def contains_by_windows(ideal, word):
@@ -343,3 +416,88 @@ def residue_monoids(k, seed):
     return ([free(k), commutative(k), AdjoinedZero(free(k)),
              AdjoinedZero(commutative(k)), AdjoinedZero(quotients[0])]
             + quotients)
+
+
+def validate_locally_finite(m: ZeroMonoid, max_order: int) -> Report:
+    """Sample-bounded check that m behaves like a locally finite monoid.
+
+    Scans all elements of order at most max_order and reports every
+    non-identity idempotent, every nonzero product whose order drops below
+    the sum of the factor orders, and every product that returns one of its
+    own non-trivial factors (which forces unboundedly many factorizations).
+    An empty report means no violation was found below the bound; it is not
+    a proof for infinite realizations.
+    """
+    if max_order < 1:
+        raise ValueError(f"max_order must be at least 1, got {max_order}")
+    grades = m.grades(max_order)
+    one = m.identity()
+    violations = []
+
+    for n in range(1, max_order + 1):
+        for x in grades[n]:
+            if m._mul(x, x) == x:
+                violations.append(
+                    f"non-identity idempotent: {m.render_word(x)}")
+
+    for i in range(max_order + 1):
+        for j in range(max_order + 1 - i):
+            for x in grades[i]:
+                for y in grades[j]:
+                    z = m._mul(x, y)
+                    if z is ZERO:
+                        continue
+                    if m._order(z) < i + j:
+                        violations.append(
+                            f"order of {m.render_word(x)}*{m.render_word(y)} "
+                            f"is {m._order(z)} < {i} + {j}")
+                    if x != y:
+                        if x != one and z == y:
+                            violations.append(
+                                f"{m.render_word(x)}*{m.render_word(y)} = "
+                                f"{m.render_word(y)}: unboundedly many factorizations")
+                        elif y != one and z == x:
+                            violations.append(
+                                f"{m.render_word(x)}*{m.render_word(y)} = "
+                                f"{m.render_word(x)}: unboundedly many factorizations")
+
+    return Report("locally-finite", tuple(violations))
+
+
+def validate_ideal(spec: IdealSpec, max_order: int) -> Report:
+    """Probe a predicate for ideal-hood over a finite range of orders.
+
+    Checks that the identity is excluded (properness) and that membership
+    absorbs multiplication on both sides for every pair of words whose
+    orders sum to at most max_order.  A clean report is evidence, not
+    proof; the bound says how far the search went.
+    """
+    if max_order < 1:
+        raise ValueError(f"max_order must be at least 1, got {max_order}")
+    base = spec.base
+    violations = []
+    if spec.contains(base.identity()):
+        violations.append("identity belongs to the ideal (not proper)")
+    grades = base.grades(max_order)
+    members = [[w for w in grade if spec.contains(w)] for grade in grades]
+    for i in range(max_order + 1):
+        for u in members[i]:
+            for j in range(max_order + 1 - i):
+                for v in grades[j]:
+                    left = base._mul(v, u)
+                    if left is not ZERO and not spec.contains(left):
+                        violations.append(
+                            f"not left-absorbing: "
+                            f"{base.render_word(v)}*{base.render_word(u)} "
+                            f"escapes the ideal")
+                    right = base._mul(u, v)
+                    if right is not ZERO and not spec.contains(right):
+                        violations.append(
+                            f"not right-absorbing: "
+                            f"{base.render_word(u)}*{base.render_word(v)} "
+                            f"escapes the ideal")
+                    if len(violations) >= 5:
+                        return Report(f"ideal({spec.describe()})",
+                                      tuple(violations))
+    notes = (f"checked all products with order sum at most {max_order}",)
+    return Report(f"ideal({spec.describe()})", tuple(violations), notes)

@@ -27,7 +27,6 @@ from mobzero import (
     random_series,
     section,
     star,
-    star_by_powers,
     zeta_transform_left,
     zeta_transform_right,
 )
@@ -40,6 +39,7 @@ from helpers import (
     free,
     series_from_letterlists,
     standard_words,
+    star_by_powers,
 )
 
 ALPHABET_SIZES = (1, 2, 3, 4)

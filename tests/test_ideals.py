@@ -12,12 +12,11 @@ from mobzero import (
     ReesQuotient,
     RepeatedLetterIdeal,
     SpecError,
-    validate_ideal,
 )
 
 from helpers import (
     builtin_free_ideals, commutative, commutative_image, contains_by_windows,
-    free, vector_word)
+    free, validate_ideal, vector_word)
 
 
 def w(m, text):

@@ -18,12 +18,12 @@ from mobzero import (
     ZERO,
     Zero,
     ZeroMonoid,
-    validate_locally_finite,
 )
 
 from helpers import (
     add_vectors, alphabet, builtin_monoids, commutative, commutative_image,
-    elements_by_filter, free, standard_words, vector_word)
+    elements_by_filter, free, standard_words, validate_locally_finite,
+    vector_word)
 
 
 def words(m, texts):

@@ -14,7 +14,6 @@ from mobzero import (
     Series,
     cauchy_product,
     characteristic_series,
-    check_lemma_inverse_via_section,
     check_mobius_transfer,
     mobius_series,
     phi,
@@ -23,8 +22,9 @@ from mobzero import (
 )
 
 from helpers import (
-    add_vectors, commutative, commutative_image, free, series_from_letterlists,
-    standard_words, vector_word)
+    add_vectors, check_lemma_inverse_via_section, commutative,
+    commutative_image, free, series_from_letterlists, standard_words,
+    vector_word)
 
 
 def w(m, text):

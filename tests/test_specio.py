@@ -21,9 +21,7 @@ from mobzero import (
     RepeatedLetterIdeal,
     Series,
     SpecError,
-    ideal_to_json,
     mobius_series,
-    monoid_to_json,
     parse_ideal,
     parse_monoid,
     parse_series,
@@ -58,16 +56,35 @@ def test_parse_free():
 def test_parse_free_commutative():
     m = parse_monoid({"type": "free-commutative", "alphabet": ["a", "b"]})
     assert m == commutative(2)
+    m = parse_monoid({"type": "free-commutative",
+                      "alphabet": ["a", "b", "c", "d"]})
+    assert m == commutative(4)
 
 
 def test_parse_adjoin_zero():
     m = parse_monoid({"type": "adjoin-zero",
                       "base": {"type": "free", "alphabet": ["a"]}})
     assert m == AdjoinedZero(free(1))
+    m = parse_monoid({"type": "adjoin-zero",
+                      "base": {"type": "free-commutative",
+                               "alphabet": ["a", "b"]}})
+    assert m == AdjoinedZero(commutative(2))
 
 
 def test_parse_rees_standard_words():
     assert parse_monoid(STANDARD) == standard_words()
+
+
+def test_parse_rees_over_ev_preimage():
+    base = free(3)
+    m = parse_monoid({
+        "type": "rees",
+        "base": {"type": "free", "alphabet": ["a", "b", "c"]},
+        "ideal": {"kind": "ev-preimage",
+                  "inner": {"kind": "degree-at-least", "d": 2}},
+    })
+    assert m == ReesQuotient(base, EvPreimageIdeal(
+        base, DegreeAtLeastIdeal(FreeCommutativeMonoid(base.alphabet()), 2)))
 
 
 def test_parse_rejects_unknown_type():
@@ -105,6 +122,8 @@ def test_parse_each_ideal_kind():
         ({"kind": "min-length", "n": 3}, MinLengthIdeal(base, 3)),
         ({"kind": "generated", "words": [["c"]]},
          GeneratedIdeal(base, [(2,)])),
+        ({"kind": "generated", "words": [["c"], ["a", "b"]]},
+         GeneratedIdeal(base, [(2,), (0, 1)])),
         ({"kind": "ev-preimage", "inner": {"kind": "degree-at-least", "d": 2}},
          EvPreimageIdeal(base, DegreeAtLeastIdeal(
              FreeCommutativeMonoid(base.alphabet()), 2))),
@@ -130,31 +149,6 @@ def test_parse_ideal_errors():
         parse_ideal({"kind": "generated", "words": [["z"]]}, base)
     with pytest.raises(SpecError):
         parse_ideal({"kind": "degree-at-least", "d": 2}, base)
-
-
-def test_monoid_roundtrips():
-    base = free(3)
-    monoids = [
-        free(2),
-        commutative(4),
-        AdjoinedZero(commutative(2)),
-        standard_words(),
-        ReesQuotient(base, EvPreimageIdeal(
-            base, DegreeAtLeastIdeal(
-                FreeCommutativeMonoid(base.alphabet()), 2))),
-    ]
-    for m in monoids:
-        assert parse_monoid(monoid_to_json(m)) == m
-
-
-def test_ideal_roundtrips():
-    base = free(3)
-    for ideal in (RepeatedLetterIdeal(base),
-                  MinLengthIdeal(base, 4),
-                  GeneratedIdeal(base, [(2,), (0, 1)]),
-                  EvPreimageIdeal(base, DegreeAtLeastIdeal(
-                      FreeCommutativeMonoid(base.alphabet()), 3))):
-        assert parse_ideal(ideal_to_json(ideal), base) == ideal
 
 
 # -- series -----------------------------------------------------------------
