@@ -20,7 +20,6 @@ from .errors import (
 )
 from .monoid import (
     DEFAULT_TRUNCATION,
-    AdjoinedZero,
     Alphabet,
     FreeCommutativeMonoid,
     FreeMonoid,

@@ -14,6 +14,7 @@ import itertools
 
 from .errors import SpecError
 from .monoid import FreeMonoid, ReesQuotient, Report, ZeroMonoid
+from .series import signed_sum
 
 
 def hilbert_prefix(m: ZeroMonoid, terms: int) -> tuple:
@@ -82,19 +83,11 @@ def check_hilbert_relation(q: ReesQuotient, terms: int) -> Report:
 
 def poly_text(coeffs, var: str = "t") -> str:
     """Render integer-like coefficients as a polynomial in one variable."""
-    out = []
-    for n, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        negative = c < 0
-        magnitude = -c if negative else c
+    def term(n, c):
+        magnitude = abs(c)
         if n == 0:
-            body = str(magnitude)
-        else:
-            head = "" if magnitude == 1 else str(magnitude)
-            body = head + (var if n == 1 else f"{var}^{n}")
-        if not out:
-            out.append(("-" if negative else "") + body)
-        else:
-            out.append((" - " if negative else " + ") + body)
-    return "".join(out) or "0"
+            return c < 0, str(magnitude)
+        head = "" if magnitude == 1 else str(magnitude)
+        return c < 0, head + (var if n == 1 else f"{var}^{n}")
+
+    return signed_sum(term(n, c) for n, c in enumerate(coeffs) if c != 0)

@@ -14,12 +14,12 @@ Built-in realizations:
 * :class:`FreeMonoid` -- words under concatenation, no reachable zero;
 * :class:`FreeCommutativeMonoid` -- sorted letter tuples, multiplied by
   merging;
-* :class:`AdjoinedZero` -- any realization with a fresh (unreachable) zero;
 * :class:`ReesQuotient` -- a base monoid with a proper two-sided ideal
   collapsed to zero.
 
 A monoid without zero is served by the same interface; its ``ZERO`` is
-simply never returned by any product.
+simply never returned by any product, so it also stands for itself with
+a zero adjoined: a zero no product reaches changes no contracted algebra.
 """
 
 from __future__ import annotations
@@ -444,81 +444,7 @@ class FreeCommutativeMonoid(ZeroMonoid):
         return self._alphabet
 
 
-class _OverBase(ZeroMonoid):
-    """A monoid whose nonzero elements are words of ``base``.
-
-    Every word-level operation that a subclass does not override is the
-    base's own.  ``_order``, ``_from_indices`` and ``_root_mul`` are the
-    base's callables themselves, bound at construction, so a subclass
-    cannot override them: the order tests and surviving products of the
-    product loops and the series reader then call the base's kernel
-    directly, a C builtin over a free base.  The seam keys are the
-    base's too, bound the same way; a subclass whose products collapse
-    more often than the base's must bind its own.
-    """
-
-    def __init__(self, base: ZeroMonoid):
-        self.base = base
-        self.word_kind = base.word_kind
-        self._order = base._order
-        self._from_indices = base._from_indices
-        self._root_mul = base._root_mul
-        self._seam_keys = base._seam_keys
-
-    def alphabet(self):
-        return self.base.alphabet()
-
-    def identity(self):
-        return self.base.identity()
-
-    def contains(self, word):
-        return self.base.contains(word)
-
-    def _mul(self, x, y):
-        return self.base._mul(x, y)
-
-    def _order(self, word):  # the abstract method; shadowed by __init__
-        return self.base._order(word)
-
-    def extend(self, word):
-        return self.base.extend(word)
-
-    def residue(self, word):
-        return self.base.residue(word)
-
-    def _splits(self, x):
-        return self.base._splits(x)
-
-    def _collapses(self, word):
-        return self.base._collapses(word)
-
-
-class AdjoinedZero(_OverBase):
-    """A base monoid with a fresh absorbing zero adjoined.
-
-    The zero absorbs but is never the product of two nonzero elements, so
-    every word-level operation delegates to the base realization, and the
-    product is the base's callable itself, bound at construction.
-    """
-
-    def __init__(self, base: ZeroMonoid):
-        super().__init__(base)
-        self._mul = base._mul
-
-    def grades(self, top):
-        return self.base.grades(top)
-
-    def describe(self):
-        return f"{self.base.describe()} with adjoined zero"
-
-    def __repr__(self):
-        return f"AdjoinedZero({self.base!r})"
-
-    def _key(self):
-        return self.base
-
-
-class ReesQuotient(_OverBase):
+class ReesQuotient(ZeroMonoid):
     """Quotient of a base monoid by a proper two-sided ideal collapsed to zero.
 
     Elements are the base words outside the ideal; a product falls to
@@ -547,12 +473,25 @@ class ReesQuotient(_OverBase):
         if ideal.contains(base.identity()):
             raise SpecError(
                 f"{ideal.describe()} is not proper: it contains the identity")
-        super().__init__(base)
+        self.base = base
         self.ideal = ideal
+        self.word_kind = base.word_kind
+        # The base's own callables, bound so that the order tests and
+        # surviving products of the product loops and the series reader
+        # call the base's kernel directly, a C builtin over a free base.
+        self._order = base._order
+        self._from_indices = base._from_indices
+        self._root_mul = base._root_mul
         keys = ideal.residue, ideal.left_residue
         if base._seam_keys is not None:
             keys = tuple(map(_paired, base._seam_keys, keys))
         self._seam_keys = keys
+
+    def alphabet(self):
+        return self.base.alphabet()
+
+    def identity(self):
+        return self.base.identity()
 
     def contains(self, word):
         return self.base.contains(word) and not self.ideal.contains(word)
@@ -563,6 +502,9 @@ class ReesQuotient(_OverBase):
             return ZERO
         return z
 
+    def _order(self, word):  # the abstract method; shadowed by __init__
+        return self.base._order(word)
+
     def extend(self, word):
         inside = self.ideal.contains_extension
         return [w for w in self.base.extend(word) if not inside(w)]
@@ -572,6 +514,9 @@ class ReesQuotient(_OverBase):
 
     def residue(self, word):
         return self.base.residue(word), self.ideal.residue(word)
+
+    def _splits(self, x):
+        return self.base._splits(x)
 
     def describe(self):
         return (f"Rees quotient of {self.base.describe()} "

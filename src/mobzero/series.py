@@ -196,26 +196,21 @@ class Series:
 
     def render(self) -> str:
         """Text form: terms by (order, lex), unit coefficients suppressed."""
-        items = self.items_sorted()
-        if not items:
-            return "0"
         ring = self.ring
         identity = self.monoid.identity()
-        out = []
-        for word, coeff in items:
-            negative = ring.is_negative(coeff)
+        render_word = self.monoid.render_word
+
+        def term(word, coeff):
             magnitude = ring.abs(coeff)
             if word == identity:
                 body = ring.render(magnitude)
             elif magnitude == ring.one:
-                body = self.monoid.render_word(word)
+                body = render_word(word)
             else:
-                body = ring.render(magnitude) + self.monoid.render_word(word)
-            if not out:
-                out.append(("-" if negative else "") + body)
-            else:
-                out.append((" - " if negative else " + ") + body)
-        return "".join(out)
+                body = ring.render(magnitude) + render_word(word)
+            return ring.is_negative(coeff), body
+
+        return signed_sum(term(w, c) for w, c in self.items_sorted())
 
     def __repr__(self):
         return f"<Series N={self.truncation} {self.render()}>"
@@ -255,6 +250,20 @@ class Series:
 
     def power(self, k):
         return power(self, k)
+
+
+def signed_sum(terms) -> str:
+    """Text of a sum from (negative, body) pairs, as "a - b + c": the
+    first term takes a bare minus sign, every later one a spaced
+    operator; "0" when there are no terms."""
+    out = []
+    for negative, body in terms:
+        if out:
+            out.append(" - " if negative else " + ")
+        elif negative:
+            out.append("-")
+        out.append(body)
+    return "".join(out) or "0"
 
 
 def _check_compatible(f: Series, g: Series):
@@ -472,19 +481,22 @@ def _solve_star(m: ZeroMonoid, cap: int, ring: Ring, by_order: list) -> Series:
 
     Each grade of s is grouped by the right seam key and each bucket by
     the left one, and :func:`_add_products` adds the grade's products
-    into the pending grades.
+    into the pending grades; grades and buckets with no terms are skipped.
     """
     right, left = m._seam_keys or (None, None)
     rzero = ring.zero
-    f_classes = [_seam_classes(bucket, left) for bucket in by_order]
+    f_classes = [(j, _seam_classes(bucket, left))
+                 for j, bucket in enumerate(by_order, 1) if bucket]
     pending = [None] + [dict(bucket) for bucket in by_order]
     terms = {m.identity(): ring.one}
     for i in range(1, cap + 1):
         grade = [(x, a) for x, a in pending[i].items() if a != rzero]
         pending[i] = None
+        if not grade:
+            continue
         terms.update(grade)
         _add_products(m, ring, cap, pending, _seam_classes(grade, right),
-                      f_classes[:cap - i])
+                      [ys for j, ys in f_classes if i + j <= cap])
     return Series(m, cap, terms, ring, _normalized=True)
 
 

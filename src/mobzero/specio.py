@@ -5,7 +5,7 @@ The wire formats are deliberately small:
 
 monoid      {"type": "free", "alphabet": ["a", "b"]}
             {"type": "free-commutative", "alphabet": ["a", "b"]}
-            {"type": "adjoin-zero", "base": {...}}
+            {"type": "adjoin-zero", "base": {...}}   (read as its base)
             {"type": "rees", "base": {...}, "ideal": {...}}
 ideal       {"kind": "repeated-letter"}
             {"kind": "min-length", "n": 3}
@@ -44,7 +44,6 @@ from .ideals import (
     RepeatedLetterIdeal,
 )
 from .monoid import (
-    AdjoinedZero,
     Alphabet,
     FreeCommutativeMonoid,
     FreeMonoid,
@@ -108,7 +107,9 @@ def parse_monoid(obj: dict) -> ZeroMonoid:
             return FreeMonoid(alphabet)
         return FreeCommutativeMonoid(alphabet)
     if kind == "adjoin-zero":
-        return AdjoinedZero(parse_monoid(_field(obj, "base", "monoid")))
+        # a zero that no product reaches leaves the contracted algebra of
+        # its base unchanged, so the base already models it
+        return parse_monoid(_field(obj, "base", "monoid"))
     if kind == "rees":
         base = parse_monoid(_field(obj, "base", "monoid"))
         ideal = parse_ideal(_field(obj, "ideal", "monoid"), base)

@@ -18,7 +18,9 @@ monoid's own ``_mul`` about every term pair instead of deciding collapse
 once per pair of seam-key classes, its star fixes each grade of
 s = 1 + s*f with a full product of the grades below by f, and the window
 scan tests every window of a word against every generator instead of
-running the factor automaton.
+running the factor automaton, and the cluster count gives the Hilbert
+counts of a generated ideal by the Goulden-Jackson generating function,
+with no word built and no residue class.
 
 The power-sum star adds up the powers of a proper series until one
 vanishes; it is the oracle for ``star``.  The section route inverts a
@@ -38,7 +40,6 @@ import itertools
 import random
 
 from mobzero import (
-    AdjoinedZero,
     Alphabet,
     DegreeAtLeastIdeal,
     EvPreimageIdeal,
@@ -95,8 +96,6 @@ def builtin_monoids(k):
     return [
         f,
         c,
-        AdjoinedZero(f),
-        AdjoinedZero(c),
         ReesQuotient(f, RepeatedLetterIdeal(f)),
         ReesQuotient(f, MinLengthIdeal(f, 3)),
         ReesQuotient(c, DegreeAtLeastIdeal(c, 3)),
@@ -310,6 +309,46 @@ def falling_factorial(k, n):
     return value
 
 
+def avoiding_counts_by_clusters(k, generators, top):
+    """Number of words of each length 0..top over k letters that have no
+    generator as a factor, by the Goulden-Jackson cluster method.
+
+    The counts are the coefficients of 1 / (1 - kt - C(t)), where
+    C = sum of C_g over the generators g and C_g(t) weighs the clusters
+    that end in g: C_g = -t^|g| - sum of t^(|g| - j) C_h over every
+    generator h whose last j letters are the first j of g, 0 < j < |g|.
+    A generator with another generator as a factor is dropped first: it
+    adds nothing to the ideal, and the method needs a reduced set.
+    """
+    gens = set(map(tuple, generators))
+
+    def has_factor(word, u):
+        return any(word[i:i + len(u)] == u
+                   for i in range(len(word) - len(u) + 1))
+
+    reduced = [g for g in gens
+               if not any(h != g and has_factor(g, h) for h in gens)]
+    overlaps = {g: [(h, len(g) - j) for h in reduced
+                    for j in range(1, min(len(g), len(h)))
+                    if h[-j:] == g[:j]]
+                for g in reduced}
+    clusters = {g: [0] * (top + 1) for g in reduced}
+    weight = [0] * (top + 1)
+    for n in range(1, top + 1):
+        for g in reduced:
+            c = -1 if n == len(g) else 0
+            for h, shift in overlaps[g]:
+                if n > shift:
+                    c -= clusters[h][n - shift]
+            clusters[g][n] = c
+            weight[n] += c
+    counts = [1]
+    for n in range(1, top + 1):
+        counts.append(k * counts[n - 1]
+                      + sum(weight[i] * counts[n - i] for i in range(1, n + 1)))
+    return counts
+
+
 def series_from_letterlists(m, truncation, pairs, ring=INTEGERS):
     """Build a series from (coefficient, "letters") string shorthand."""
     terms = {}
@@ -358,17 +397,16 @@ def seeded_generators(rng, k):
 
 
 def builtin_quotients(k, seed):
-    """Every built-in ideal over free, free commutative and adjoin-zero
-    bases on k letters, plus a generated ideal with seeded generators."""
+    """Every built-in ideal over the free and free commutative bases on
+    k letters, plus a generated ideal with seeded generators."""
     rng = random.Random(seed)
-    out = []
-    for base in (free(k), AdjoinedZero(free(k))):
-        ideals = builtin_free_ideals(base)
-        ideals.append(GeneratedIdeal(base, seeded_generators(rng, k)))
-        out.extend(ReesQuotient(base, ideal) for ideal in ideals)
-    for base in (commutative(k), AdjoinedZero(commutative(k))):
-        for d in (1, 3, 5):
-            out.append(ReesQuotient(base, DegreeAtLeastIdeal(base, d)))
+    base = free(k)
+    ideals = builtin_free_ideals(base)
+    ideals.append(GeneratedIdeal(base, seeded_generators(rng, k)))
+    out = [ReesQuotient(base, ideal) for ideal in ideals]
+    c = commutative(k)
+    for d in (1, 3, 5):
+        out.append(ReesQuotient(c, DegreeAtLeastIdeal(c, d)))
     return out
 
 
@@ -405,17 +443,38 @@ class FirstAndLastLetterIdeal(IdealSpec):
 
 def residue_monoids(k, seed):
     """Every realization that defines or passes on a residue, over k
-    letters: the bases, their adjoined zeros, every built-in quotient,
-    quotients of quotients, an adjoined zero over a quotient, and
-    quotients by an ideal with the default residue, directly and pulled
-    back along the letter counts."""
+    letters: the bases, every built-in quotient, quotients of quotients,
+    and quotients by an ideal with the default residue, directly and
+    pulled back along the letter counts."""
     inner = FirstAndLastLetterIdeal(commutative(k))
     quotients = (builtin_quotients(k, seed) + quotients_of_quotients(k, seed)
                  + [ReesQuotient(commutative(k), inner),
                     ReesQuotient(free(k), EvPreimageIdeal(free(k), inner))])
-    return ([free(k), commutative(k), AdjoinedZero(free(k)),
-             AdjoinedZero(commutative(k)), AdjoinedZero(quotients[0])]
-            + quotients)
+    return [free(k), commutative(k)] + quotients
+
+
+class IdempotentMonoid(ZeroMonoid):
+    """One letter with a*a = a; order pretends to be length-like."""
+
+    word_kind = "sequence"
+
+    def alphabet(self):
+        return alphabet(1)
+
+    def identity(self):
+        return ()
+
+    def contains(self, word):
+        return word in ((), (0,))
+
+    def _mul(self, x, y):
+        return (0,) if (x or y) else ()
+
+    def _order(self, word):
+        return len(word)
+
+    def extend(self, word):
+        return [(0,)] if word == () else []
 
 
 def validate_locally_finite(m: ZeroMonoid, max_order: int) -> Report:

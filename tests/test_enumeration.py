@@ -17,7 +17,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mobzero import (
-    AdjoinedZero,
     GeneratedIdeal,
     InfiniteGradeError,
     MinLengthIdeal,
@@ -93,8 +92,6 @@ def test_bases_declare_no_collapse():
     for k in (1, 3):
         for base in (free(k), commutative(k)):
             assert base._seam_keys is None
-            assert AdjoinedZero(base)._seam_keys is None
-            assert AdjoinedZero(base)._root_mul == base._mul
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -123,7 +120,6 @@ def test_grades_are_in_display_order_and_match_filter(k):
             for n, grade in enumerate(grades):
                 assert grade == sorted(grade), (m.describe(), n)
                 assert grade == elements_by_filter(m, n), (m.describe(), n)
-            assert AdjoinedZero(m).grades(TOP) == grades, m.describe()
 
 
 @pytest.mark.parametrize("k", [2, 3])

@@ -4,7 +4,6 @@ import random
 import pytest
 
 from mobzero import (
-    AdjoinedZero,
     Alphabet,
     DegreeAtLeastIdeal,
     FreeCommutativeMonoid,
@@ -21,9 +20,9 @@ from mobzero import (
 )
 
 from helpers import (
-    add_vectors, alphabet, builtin_monoids, commutative, commutative_image,
-    elements_by_filter, free, standard_words, validate_locally_finite,
-    vector_word)
+    IdempotentMonoid, add_vectors, alphabet, builtin_monoids, commutative,
+    commutative_image, elements_by_filter, free, standard_words,
+    validate_locally_finite, vector_word)
 
 
 def words(m, texts):
@@ -199,20 +198,6 @@ def test_commutative_kernels_match_the_vector_route(k):
                     add_vectors(v, commutative_image(y, k)))
 
 
-# -- adjoined zero ----------------------------------------------------------
-
-def test_adjoined_zero_delegates():
-    base = free(2)
-    m = AdjoinedZero(base)
-    ab = m.word_from_letters(["a", "b"])
-    assert m.product(ab, ab) == base._mul(ab, ab)
-    assert m.elements_of_order(2) == base.elements_of_order(2)
-    assert m.alphabet() == base.alphabet()
-    assert m == AdjoinedZero(free(2))
-    assert m != base
-    assert "adjoined zero" in m.describe()
-
-
 # -- rees quotient ----------------------------------------------------------
 
 def test_standard_words_product_hits_zero():
@@ -270,7 +255,7 @@ def test_builtins_equal_a_rebuild_and_differ_from_each_other():
     for i, m in enumerate(first):
         assert m == again[i] and hash(m) == hash(again[i])
         assert all(m != other for j, other in enumerate(first) if j != i)
-    assert len(set(first + again)) == 7
+    assert len(set(first + again)) == 5
 
 
 def test_same_alphabet_different_class_is_unequal():
@@ -315,8 +300,8 @@ def test_order_adds_exactly_for_builtins():
 
 
 def kernel_monoids(k):
-    """Free, free commutative, adjoin-zero and Rees-quotient realizations
-    over k letters, and quotients of quotients over both kinds of base."""
+    """Free, free commutative and Rees-quotient realizations over k
+    letters, and quotients of quotients over both kinds of base."""
     words = standard_words(k)
     degree = ReesQuotient(commutative(k),
                           DegreeAtLeastIdeal(commutative(k), 5))
@@ -401,34 +386,9 @@ def test_render_identity_and_words():
 # -- local finiteness checker -----------------------------------------------
 
 def test_builtins_validate_locally_finite():
-    for m in (free(2), commutative(2), standard_words(),
-              AdjoinedZero(free(2))):
+    for m in (free(2), commutative(2), standard_words()):
         report = validate_locally_finite(m, 4)
         assert report.passed, report.counterexample
-
-
-class IdempotentMonoid(ZeroMonoid):
-    """One letter with a*a = a; order pretends to be length-like."""
-
-    word_kind = "sequence"
-
-    def alphabet(self):
-        return alphabet(1)
-
-    def identity(self):
-        return ()
-
-    def contains(self, word):
-        return word in ((), (0,))
-
-    def _mul(self, x, y):
-        return (0,) if (x or y) else ()
-
-    def _order(self, word):
-        return len(word)
-
-    def extend(self, word):
-        return [(0,)] if word == () else []
 
 
 def test_validator_reports_idempotent():

@@ -38,7 +38,10 @@ from mobzero import (
     zeta_transform_right,
 )
 
+import mobzero.series as series_module
+
 from helpers import (
+    IdempotentMonoid,
     alphabet,
     builtin_free_ideals,
     builtin_monoids,
@@ -408,6 +411,32 @@ def test_star_requires_proper():
     m = free(1)
     with pytest.raises(ProperError):
         star(Series.one(m, 3))
+
+
+def test_star_multiplies_only_grades_that_hold_terms(monkeypatch):
+    # s = 1 + a^1001 has one grade above the identity; a solver that
+    # visited every grade up to the truncation would call the product
+    # kernel 2000 times
+    calls = []
+    kernel = series_module._add_products
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(series_module, "_add_products", counted)
+    m = free(2)
+    f = Series(m, 2000, {(0,) * 1001: 1})
+    assert star(f) == Series.one(m, 2000) + f
+    assert len(calls) == 1
+
+
+def test_star_refuses_an_order_that_is_not_superadditive():
+    # a*a = a lands in grade 1, which is already final when its products
+    # are formed; the solver must fail rather than drop the contribution
+    m = IdempotentMonoid()
+    with pytest.raises(AttributeError):
+        star(Series(m, 2, {(0,): 1}))
 
 
 def test_star_inverts_one_minus_f():

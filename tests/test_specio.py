@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mobzero import (
-    AdjoinedZero,
     DegreeAtLeastIdeal,
     EvPreimageIdeal,
     FreeCommutativeMonoid,
@@ -62,13 +61,14 @@ def test_parse_free_commutative():
 
 
 def test_parse_adjoin_zero():
-    m = parse_monoid({"type": "adjoin-zero",
-                      "base": {"type": "free", "alphabet": ["a"]}})
-    assert m == AdjoinedZero(free(1))
-    m = parse_monoid({"type": "adjoin-zero",
-                      "base": {"type": "free-commutative",
-                               "alphabet": ["a", "b"]}})
-    assert m == AdjoinedZero(commutative(2))
+    # an adjoined zero that no product reaches is read as its base
+    for base, expected in (
+            ({"type": "free", "alphabet": ["a"]}, free(1)),
+            ({"type": "free-commutative", "alphabet": ["a", "b"]},
+             commutative(2)),
+            (STANDARD, standard_words())):
+        m = parse_monoid({"type": "adjoin-zero", "base": base})
+        assert m == parse_monoid(base) == expected
 
 
 def test_parse_rees_standard_words():
