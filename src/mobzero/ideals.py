@@ -163,14 +163,16 @@ class GeneratedIdeal(IdealSpec):
             raise SpecError("generated ideal needs at least one generator")
         # dedupe; keep a canonical order so equal generator sets compare equal
         self.generators = tuple(sorted(set(generators), key=lambda w: (len(w), w)))
-        # a generator that ends at an appended letter starts at most m
-        # letters before it; the residues are the last and the first m
-        # letters, sliced in C
-        m = len(self.generators[-1]) - 1
-        self.residue = itemgetter(slice(-m, None) if m else slice(0))
-        self.left_residue = itemgetter(slice(m))
         self._root, self._dead = _factor_automaton(
             self.generators, len(base.alphabet()))
+        # a generator that ends at an appended letter starts at most m
+        # letters before it.  The residue is the automaton state after the
+        # word, a suffix of at most m letters that its last m letters
+        # reach from the root; the left residue is the first m letters
+        m = len(self.generators[-1]) - 1
+        tail = itemgetter(slice(-m, None) if m else slice(0))
+        self.residue = lambda word: id(reduce(getitem, tail(word), self._root))
+        self.left_residue = itemgetter(slice(m))
 
     def contains(self, word: Word) -> bool:
         # one C pass over the word through the factor automaton

@@ -21,7 +21,8 @@ import operator
 from fractions import Fraction
 from typing import Optional
 
-from .errors import MonoidMismatchError, ProperError, TruncationError
+from .errors import (AlgebraError, MonoidMismatchError, ProperError,
+                     TruncationError)
 from .monoid import DEFAULT_TRUNCATION, Report, Word, ZERO, ZeroMonoid
 
 
@@ -48,6 +49,14 @@ class Ring:
 
     def from_int(self, n: int):
         return self.value_type(n)
+
+    def coerce(self, a, what: str):
+        """``a`` as a value of the ring: plain ints are coerced, any other
+        value must already be of the ring's type, and bools are rejected;
+        ``what`` names the value in the error."""
+        if isinstance(a, bool) or not isinstance(a, (int, self.value_type)):
+            raise TypeError(f"{what} {a!r} is not an int or a value of {self}")
+        return self.from_int(a) if isinstance(a, int) else a
 
     def is_negative(self, a) -> bool:
         return a < 0
@@ -130,12 +139,7 @@ class Series:
         clean = {}
         for word, coeff in dict(terms or {}).items():
             monoid._require(word)
-            if isinstance(coeff, bool) or not isinstance(
-                    coeff, (int, ring.value_type)):
-                raise TypeError(
-                    f"coefficient {coeff!r} is not an int or a value of {ring!r}")
-            if isinstance(coeff, int):
-                coeff = ring.from_int(coeff)
+            coeff = ring.coerce(coeff, "coefficient")
             if coeff == ring.zero:
                 continue
             if monoid._order(word) > truncation:
@@ -295,23 +299,22 @@ def add(f: Series, g: Series) -> Series:
 
 
 def scalar_mul(alpha, f: Series) -> Series:
-    """Left scalar multiple; plain ints are coerced into the ring, any
-    other scalar must already be a value of the ring, and bools are
-    rejected, as the constructor rejects them."""
+    """Left scalar multiple; the scalar is coerced as the constructor
+    coerces coefficients (:meth:`Ring.coerce`)."""
     ring = f.ring
-    if isinstance(alpha, bool):
-        raise TypeError(f"scalar {alpha!r} is a bool, not a value of {ring!r}")
-    if isinstance(alpha, int):
-        alpha = ring.from_int(alpha)
-    elif not isinstance(alpha, ring.value_type):
-        raise TypeError(
-            f"scalar {alpha!r} is not an int or a value of {ring!r}")
-    terms = {}
-    for w, c in f.terms.items():
-        v = ring.mul(alpha, c)
-        if v != ring.zero:
-            terms[w] = v
+    alpha = ring.coerce(alpha, "scalar")
+    terms = {w: v for w, c in f.terms.items()
+             if (v := ring.mul(alpha, c)) != ring.zero}
     return Series(f.monoid, f.truncation, terms, ring, _normalized=True)
+
+
+def _by_order(terms, order) -> list:
+    """(n, the (word, coefficient) pairs of ``terms`` of order n) for
+    every order n that holds terms, in increasing n."""
+    by_order = {}
+    for term in terms:
+        by_order.setdefault(order(term[0]), []).append(term)
+    return sorted(by_order.items())
 
 
 def _seam_classes(terms: list, key) -> list:
@@ -342,6 +345,7 @@ def _add_products(m: ZeroMonoid, ring: Ring, cap: int, pending,
     keys = m._seam_keys
     mul, collapses, order = m._root_mul, m._mul, m._order
     radd, rmul = ring.add, ring.mul
+    last = -1
     for xs in x_classes:
         for y_classes in y_orders:
             for ys in y_classes:
@@ -351,9 +355,11 @@ def _add_products(m: ZeroMonoid, ring: Ring, cap: int, pending,
                     for y, b in ys:
                         z = mul(x, y)
                         oz = order(z)
-                        if oz > cap:
-                            continue
-                        acc = pending[oz]
+                        # consecutive products mostly share an order
+                        if oz != last:
+                            if oz > cap:
+                                continue
+                            last, acc = oz, pending[oz]
                         prev = acc.get(z)
                         acc[z] = (rmul(a, b) if prev is None
                                   else radd(prev, rmul(a, b)))
@@ -375,20 +381,14 @@ def cauchy_product(f: Series, g: Series) -> Series:
     cap = min(f.truncation, g.truncation)
     order = m._order
     right, left = m._seam_keys or (None, None)
-
-    def classes(series, key):
-        by_order = {}
-        for term in series.terms.items():
-            by_order.setdefault(order(term[0]), []).append(term)
-        return [(n, _seam_classes(by_order[n], key)) for n in sorted(by_order)]
-
-    g_classes = classes(g, left)
+    g_classes = [(n, _seam_classes(pairs, left))
+                 for n, pairs in _by_order(g.terms.items(), order)]
     acc = {}
     # every order indexes the one accumulator, with no slot per order:
     # a product of a few terms must not cost memory in the truncation
     pending = collections.defaultdict(lambda: acc)
-    for ox, x_classes in classes(f, right):
-        _add_products(m, ring, cap, pending, x_classes,
+    for ox, pairs in _by_order(f.terms.items(), order):
+        _add_products(m, ring, cap, pending, _seam_classes(pairs, right),
                       [ys for og, ys in g_classes if ox + og <= cap])
     terms = {w: c for w, c in acc.items() if c != ring.zero}
     return Series(m, cap, terms, ring, _normalized=True)
@@ -457,41 +457,44 @@ def star(f: Series) -> Series:
     grade of s instead of multiplying it against f.
     """
     _require_proper(f)
-    order = f.monoid._order
-    by_order = [[] for _ in range(f.truncation)]
-    for w, c in f.terms.items():
-        by_order[order(w) - 1].append((w, c))
-    return _solve_star(f.monoid, f.truncation, f.ring, by_order)
+    return _solve_star(f.monoid, f.truncation, f.ring,
+                       _by_order(f.terms.items(), f.monoid._order))
 
 
-def _solve_star(m: ZeroMonoid, cap: int, ring: Ring, by_order: list) -> Series:
-    """Star of the proper series whose terms of order j are the
-    (word, coefficient) pairs of ``by_order[j - 1]``, for j = 1..cap.
+def _solve_star(m: ZeroMonoid, cap: int, ring: Ring, buckets: list) -> Series:
+    """Star of the proper series whose terms are the (word, coefficient)
+    pairs of ``buckets``, a list of (order, pairs) for the orders 1..cap
+    that hold terms, in increasing order.
 
     When the order is superadditive (ord(xy) >= ord(x) + ord(y)), every
     product x*y with x in grade i of s and y of order at least 1 lands in
     a grade strictly above i.  Grade 0 of s is the identity, and 1*y = y,
-    so the pending grades start as the buckets themselves.  One pass over
-    grades 1..cap then suffices: when the pass reaches grade i, every
-    contribution to it has arrived, so the grade is final; its terms are
-    multiplied against the terms of order at most cap - i and each
-    product is added into the grade where it lands.  The cost is about
-    sum over i >= 1 of |s_i| * |f_{<=cap-i}| pairs, which is small when s
-    is sparse, as Mobius series are.
+    so the pending grades, keyed by order, start as the buckets.  The
+    lowest pending grade i is final, as every contribution to it has
+    arrived; its terms are multiplied against the terms of order at most
+    cap - i and each product is added into the grade where it lands.  A
+    product landing in a grade already taken raises :class:`AlgebraError`.
+    The cost is about sum over i >= 1 of |s_i| * |f_{<=cap-i}| pairs,
+    which is small when s is sparse, as Mobius series are.
 
     Each grade of s is grouped by the right seam key and each bucket by
     the left one, and :func:`_add_products` adds the grade's products
-    into the pending grades; grades and buckets with no terms are skipped.
+    into the pending grades.
     """
     right, left = m._seam_keys or (None, None)
     rzero = ring.zero
-    f_classes = [(j, _seam_classes(bucket, left))
-                 for j, bucket in enumerate(by_order, 1) if bucket]
-    pending = [None] + [dict(bucket) for bucket in by_order]
+    f_classes = [(j, _seam_classes(pairs, left)) for j, pairs in buckets]
+    pending = collections.defaultdict(
+        dict, ((j, dict(pairs)) for j, pairs in buckets))
     terms = {m.identity(): ring.one}
-    for i in range(1, cap + 1):
-        grade = [(x, a) for x, a in pending[i].items() if a != rzero]
-        pending[i] = None
+    done = 0
+    while pending:
+        i = min(pending)
+        if i <= done:
+            raise AlgebraError(f"order of {m.describe()} is not superadditive:"
+                               f" grade {done} has a product in grade {i}")
+        done = i
+        grade = [(x, a) for x, a in pending.pop(i).items() if a != rzero]
         if not grade:
             continue
         terms.update(grade)
@@ -512,13 +515,14 @@ def mobius_series(m: ZeroMonoid, truncation: int = DEFAULT_TRUNCATION,
     """Inverse of the characteristic series: the star of -zeta+, where
     zeta+ sums every element of order 1..N.
 
-    The grades of m are handed to :func:`_solve_star` directly, each
-    element with coefficient -1, so no characteristic series is built.
+    The nonempty grades of m are handed to :func:`_solve_star` directly,
+    each element with coefficient -1, so no characteristic series is
+    built and no element's order is asked.
     """
     neg_one = ring.neg(ring.one)
-    grades = m.grades(truncation)[1:]
-    return _solve_star(m, truncation, ring,
-                       [[(x, neg_one) for x in grade] for grade in grades])
+    buckets = [(n, [(x, neg_one) for x in grade])
+               for n, grade in enumerate(m.grades(truncation)) if n and grade]
+    return _solve_star(m, truncation, ring, buckets)
 
 
 def zeta_transform_left(f: Series) -> Series:

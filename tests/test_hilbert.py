@@ -104,6 +104,7 @@ def test_far_avoiding_ab_counts_follow_their_recurrence():
     (3, ["c", "ab", "bab"], 200),
     (2, ["aba", "bab", "aabb"], 200),
     (4, ["abcdab", "bbbbbb"], 60),
+    (4, ["abcdabcda"], 200),
 ], ids=lambda v: "-".join(v) if isinstance(v, list) else str(v))
 def test_far_generated_counts_match_the_cluster_method(k, generators, top):
     base = free(k)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from mobzero import (
     INTEGERS,
+    AlgebraError,
     FreeCommutativeMonoid,
     FreeMonoid,
     IntegerModRing,
@@ -324,6 +325,23 @@ def test_cauchy_memory_does_not_grow_with_the_truncation():
     assert peak < 10**6
 
 
+def test_star_memory_does_not_grow_with_the_truncation():
+    # the star of a^(N/2 + 1) is 1 + a^(N/2 + 1); its solve must cost
+    # memory in its terms, not in the orders up to N
+    m = free(2)
+    n = 10**5
+    f = Series(m, n, {(0,) * (n // 2 + 1): 1})
+    expected = Series.one(m, n) + f
+    tracemalloc.start()
+    try:
+        s = star(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s == expected
+    assert peak < 10**6
+
+
 def test_oracle_agrees_on_examples():
     m = standard_words()
     pairs = [
@@ -435,7 +453,7 @@ def test_star_refuses_an_order_that_is_not_superadditive():
     # a*a = a lands in grade 1, which is already final when its products
     # are formed; the solver must fail rather than drop the contribution
     m = IdempotentMonoid()
-    with pytest.raises(AttributeError):
+    with pytest.raises(AlgebraError, match="not superadditive"):
         star(Series(m, 2, {(0,): 1}))
 
 
