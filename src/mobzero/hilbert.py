@@ -81,13 +81,13 @@ def check_hilbert_relation(q: ReesQuotient, terms: int) -> Report:
     return Report("hilbert-relation", tuple(violations), notes)
 
 
-def poly_text(coeffs, var: str = "t") -> str:
-    """Render integer-like coefficients as a polynomial in one variable."""
+def poly_text(coeffs) -> str:
+    """Render integer-like coefficients as a polynomial in t."""
     def term(n, c):
         magnitude = abs(c)
         if n == 0:
             return c < 0, str(magnitude)
         head = "" if magnitude == 1 else str(magnitude)
-        return c < 0, head + (var if n == 1 else f"{var}^{n}")
+        return c < 0, head + ("t" if n == 1 else f"t^{n}")
 
     return signed_sum(term(n, c) for n, c in enumerate(coeffs) if c != 0)

@@ -4,8 +4,10 @@ Every monoid element other than the absorbing zero is encoded as a *word*:
 the tuple of its letter indices in display order, a normal form in which
 equal elements always have equal encodings, so words can be dict keys and
 compared bitwise.  A word of the free monoid is its letter sequence; a
-word of the free commutative monoid is its sorted letter multiset.  Words
-of equal order compare, as tuples, in display order.  The absorbing
+word of the free commutative monoid is its sorted letter multiset.  The
+encoding fixes two things for every realization: the identity is the
+empty word ``()``, and the order of an element is its number of letters.
+Words of equal order compare, as tuples, in display order.  The absorbing
 element is never encoded as a word; products that hit it return the
 ``ZERO`` sentinel instead.
 
@@ -143,15 +145,12 @@ def _paired(outer, inner):
     return lambda word: (outer(word), inner(word))
 
 
-def _require_alphabet(alphabet):
-    if not isinstance(alphabet, Alphabet):
-        raise SpecError(f"expected an Alphabet, got {alphabet!r}")
-
-
 class ZeroMonoid(ABC):
     """A monoid with (possibly unreachable) zero, graded by its order function.
 
-    Subclasses provide the raw operations on canonical words; the public
+    The identity is the empty word and the order of a word is its length,
+    for every realization.  Subclasses provide the alphabet, membership
+    and the raw product on canonical words; the public
     ``product``/``order``/``factorizations`` wrappers add membership checks
     and raise :class:`MembershipError` on foreign words.
 
@@ -177,9 +176,8 @@ class ZeroMonoid(ABC):
     def alphabet(self) -> Alphabet:
         ...
 
-    @abstractmethod
     def identity(self) -> Word:
-        ...
+        return ()
 
     @abstractmethod
     def contains(self, word: Word) -> bool:
@@ -189,9 +187,9 @@ class ZeroMonoid(ABC):
     def _mul(self, x: Word, y: Word) -> MonoidValue:
         """Product of two member words, without membership checks."""
 
-    @abstractmethod
-    def _order(self, word: Word) -> int:
-        ...
+    # the number of letters; a C builtin, so the product and order loops
+    # call it with no Python frame
+    _order = staticmethod(len)
 
     def describe(self) -> str:
         return repr(self)
@@ -307,7 +305,7 @@ class ZeroMonoid(ABC):
         return False
 
     def render_word(self, word: Word) -> str:
-        if word == self.identity():
+        if not word:
             return "1"
         return self.alphabet().join(self.word_letters(word))
 
@@ -323,7 +321,41 @@ class ZeroMonoid(ABC):
         return hash(self._key())
 
 
-class FreeMonoid(ZeroMonoid):
+class _FreeBase(ZeroMonoid):
+    """What the free bases share: an alphabet, membership of the words
+    over it, no product that collapses, and equality by alphabet.  Each
+    free base adds its product and enumeration kernels."""
+
+    name: str   # what ``describe`` calls the monoid
+
+    def __init__(self, alphabet: Alphabet):
+        if not isinstance(alphabet, Alphabet):
+            raise SpecError(f"expected an Alphabet, got {alphabet!r}")
+        self._alphabet = alphabet
+        self._size = len(alphabet)
+        # the one-letter words, which ``extend`` appends
+        self._letters = [(i,) for i in range(self._size)]
+
+    def alphabet(self) -> Alphabet:
+        return self._alphabet
+
+    def contains(self, word) -> bool:
+        return (isinstance(word, tuple)
+                and all(isinstance(i, int) and 0 <= i < self._size for i in word))
+
+    _seam_keys = None   # no product collapses
+
+    def describe(self) -> str:
+        return f"{self.name} on {{{', '.join(self._alphabet)}}}"
+
+    def __repr__(self):
+        return f"{type(self).__name__}({list(self._alphabet)})"
+
+    def _key(self):
+        return self._alphabet
+
+
+class FreeMonoid(_FreeBase):
     """Words over a finite alphabet under concatenation.
 
     Has no reachable zero; exposing it through the zero-monoid interface
@@ -331,27 +363,10 @@ class FreeMonoid(ZeroMonoid):
     """
 
     word_kind = "sequence"
+    name = "free monoid"
 
-    def __init__(self, alphabet: Alphabet):
-        _require_alphabet(alphabet)
-        self._alphabet = alphabet
-        self._size = len(alphabet)
-        self._letters = [(i,) for i in range(self._size)]
-
-    def alphabet(self) -> Alphabet:
-        return self._alphabet
-
-    def identity(self) -> Word:
-        return ()
-
-    def contains(self, word) -> bool:
-        return (isinstance(word, tuple)
-                and all(isinstance(i, int) and 0 <= i < self._size for i in word))
-
-    # C builtins: the product and order loops call them with no Python frame
+    # a C builtin: the product loops call it with no Python frame
     _mul = _root_mul = staticmethod(operator.add)
-    _order = staticmethod(len)
-    _seam_keys = None   # no product collapses
 
     def grades(self, top):
         # itertools.product builds a grade in C, some 4x faster than extend
@@ -367,44 +382,22 @@ class FreeMonoid(ZeroMonoid):
     def _splits(self, x):
         return [(x[:i], x[i:]) for i in range(len(x) + 1)]
 
-    def describe(self) -> str:
-        return f"free monoid on {{{', '.join(self._alphabet)}}}"
 
-    def __repr__(self):
-        return f"FreeMonoid({list(self._alphabet)})"
-
-    def _key(self):
-        return self._alphabet
-
-
-class FreeCommutativeMonoid(ZeroMonoid):
+class FreeCommutativeMonoid(_FreeBase):
     """Letter multisets over a finite alphabet, each the sorted tuple of
     its letter indices, multiplied by merging."""
 
     word_kind = "multiset"
-
-    def __init__(self, alphabet: Alphabet):
-        _require_alphabet(alphabet)
-        self._alphabet = alphabet
-        self._size = len(alphabet)
-
-    def alphabet(self) -> Alphabet:
-        return self._alphabet
-
-    def identity(self) -> Word:
-        return ()
+    name = "free commutative monoid"
 
     def contains(self, word) -> bool:
-        return (isinstance(word, tuple)
-                and all(isinstance(i, int) and 0 <= i < self._size for i in word)
+        return (super().contains(word)
                 and all(map(operator.le, word, word[1:])))
 
     def _mul(self, x, y):
         return tuple(sorted(x + y))
 
     _root_mul = _mul
-    _order = staticmethod(len)
-    _seam_keys = None   # no product collapses
 
     def grades(self, top):
         # combinations_with_replacement lists the sorted tuples of a grade
@@ -414,7 +407,7 @@ class FreeCommutativeMonoid(ZeroMonoid):
 
     def extend(self, word):
         # append a letter no smaller than the last: the word stays sorted
-        return [word + (i,) for i in range(self.residue(word), self._size)]
+        return list(map(word.__add__, self._letters[self.residue(word):]))
 
     def residue(self, word):
         """The last letter; 0 for the identity."""
@@ -434,29 +427,20 @@ class FreeCommutativeMonoid(ZeroMonoid):
     def _from_indices(indices):
         return tuple(sorted(indices))
 
-    def describe(self) -> str:
-        return f"free commutative monoid on {{{', '.join(self._alphabet)}}}"
-
-    def __repr__(self):
-        return f"FreeCommutativeMonoid({list(self._alphabet)})"
-
-    def _key(self):
-        return self._alphabet
-
 
 class ReesQuotient(ZeroMonoid):
     """Quotient of a base monoid by a proper two-sided ideal collapsed to zero.
 
     Elements are the base words outside the ideal; a product falls to
-    ``ZERO`` exactly when the base product lands in the ideal.  The order
-    function is inherited from the base.
+    ``ZERO`` exactly when the base product lands in the ideal.
 
     The elements are closed under taking divisors, because the ideal is
     two-sided.  So every element is an extension of an element one order
     below, and :meth:`extend` keeps the base's extensions outside the
     ideal: a grade is built from the grade below, never from the whole
     base grade.  For the same reason the factorizations of an element are
-    its base factorizations.
+    its base factorizations.  The identity and the order are the base's,
+    as they are those of every realization.
 
     A product collapses when the base's does or when the ideal holds the
     base product, so each seam key is the ideal's residue on that side
@@ -476,10 +460,9 @@ class ReesQuotient(ZeroMonoid):
         self.base = base
         self.ideal = ideal
         self.word_kind = base.word_kind
-        # The base's own callables, bound so that the order tests and
-        # surviving products of the product loops and the series reader
-        # call the base's kernel directly, a C builtin over a free base.
-        self._order = base._order
+        # The base's own callables, bound so that the surviving products
+        # of the product loops and the series reader call the base's
+        # kernel directly, a C builtin over a free base.
         self._from_indices = base._from_indices
         self._root_mul = base._root_mul
         keys = ideal.residue, ideal.left_residue
@@ -490,9 +473,6 @@ class ReesQuotient(ZeroMonoid):
     def alphabet(self):
         return self.base.alphabet()
 
-    def identity(self):
-        return self.base.identity()
-
     def contains(self, word):
         return self.base.contains(word) and not self.ideal.contains(word)
 
@@ -501,9 +481,6 @@ class ReesQuotient(ZeroMonoid):
         if z is ZERO or self.ideal.contains(z):
             return ZERO
         return z
-
-    def _order(self, word):  # the abstract method; shadowed by __init__
-        return self.base._order(word)
 
     def extend(self, word):
         inside = self.ideal.contains_extension

@@ -80,6 +80,9 @@ def read_json_source(source: str) -> dict:
 
 
 def _field(obj: dict, name: str, what: str):
+    if not isinstance(obj, dict):
+        raise SpecError(f"{what} description must be a JSON object, "
+                        f"got {obj!r}")
     if name not in obj:
         raise SpecError(f"{what} description is missing {name!r}: {obj!r}")
     return obj[name]
@@ -231,6 +234,6 @@ def _parse_coefficient(text, ring: Ring):
 
 
 def series_to_json(f: Series) -> dict:
-    terms = [[f.ring.render(coeff), f.monoid.word_letters(word)]
+    terms = [[str(coeff), f.monoid.word_letters(word)]
              for word, coeff in f.items_sorted()]
     return {"truncation": f.truncation, "terms": terms}

@@ -220,7 +220,7 @@ def check_lemma_inverse_via_section(q: ReesQuotient, f: Series) -> Report:
     if f.augmentation() != f.ring.one:
         raise ProperError(
             "inverse-via-section needs augmentation one, got "
-            f"{f.ring.render(f.augmentation())}")
+            f"{f.augmentation()}")
     one_q = Series.one(q, f.truncation, f.ring)
     direct = star(one_q - f)
     lifted = section(q, f)
@@ -454,24 +454,19 @@ def residue_monoids(k, seed):
 
 
 class IdempotentMonoid(ZeroMonoid):
-    """One letter with a*a = a; order pretends to be length-like."""
+    """One letter with a*a = a; its order is the word length, as in every
+    realization, so the order of a*a is 1, not 2."""
 
     word_kind = "sequence"
 
     def alphabet(self):
         return alphabet(1)
 
-    def identity(self):
-        return ()
-
     def contains(self, word):
         return word in ((), (0,))
 
     def _mul(self, x, y):
         return (0,) if (x or y) else ()
-
-    def _order(self, word):
-        return len(word)
 
     def extend(self, word):
         return [(0,)] if word == () else []

@@ -280,6 +280,22 @@ def test_validation_failures_exit_one(capsys):
     assert "order" in err
 
 
+@pytest.mark.parametrize("monoid", [
+    '{"type": "rees", "base": 5, "ideal": {}}',
+    '{"type": "rees", "base": null, "ideal": {"kind": "repeated-letter"}}',
+    '{"type": "rees", "base": ' + FREE_AB + ', "ideal": 7}',
+    '{"type": "rees", "base": ' + FREE_AB + ', '
+    '"ideal": {"kind": "ev-preimage", "inner": 3}}',
+    '{"type": "rees", "base": ' + FREE_AB + ', '
+    '"ideal": {"kind": "ev-preimage", "inner": []}}',
+], ids=["base-int", "base-null", "ideal-int", "inner-int", "inner-list"])
+def test_nested_description_that_is_not_an_object_exits_one(capsys, monoid):
+    code, out, err = run(capsys, "mobius", "--monoid", monoid)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "description must be a JSON object" in err
+
+
 COMM_DEG3 = ('{"type": "rees", "base": {"type": "free-commutative", '
              '"alphabet": ["a", "b"]}, '
              '"ideal": {"kind": "degree-at-least", "d": 3}}')

@@ -230,17 +230,11 @@ class EnumerableOnly(ZeroMonoid):
     def alphabet(self):
         return alphabet(1)
 
-    def identity(self):
-        return ()
-
     def contains(self, word):
         return isinstance(word, tuple) and all(i == 0 for i in word)
 
     def _mul(self, x, y):
         return x + y
-
-    def _order(self, word):
-        return len(word)
 
     def grades(self, top):
         return [[(0,) * n] for n in range(top + 1)]

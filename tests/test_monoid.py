@@ -124,6 +124,24 @@ def test_free_equality_and_describe():
     assert "free monoid" in free(2).describe()
 
 
+def test_free_bases_and_their_quotients_describe_and_repr():
+    fm, cm = free(2), commutative(2)
+    fq = ReesQuotient(fm, RepeatedLetterIdeal(fm))
+    cq = ReesQuotient(cm, DegreeAtLeastIdeal(cm, 3))
+    assert [(m.describe(), repr(m)) for m in (fm, cm, fq, cq)] == [
+        ("free monoid on {a, b}", "FreeMonoid(['a', 'b'])"),
+        ("free commutative monoid on {a, b}",
+         "FreeCommutativeMonoid(['a', 'b'])"),
+        ("Rees quotient of free monoid on {a, b} by repeated-letter ideal",
+         "ReesQuotient(FreeMonoid(['a', 'b']), "
+         "<RepeatedLetterIdeal over free monoid on {a, b}>)"),
+        ("Rees quotient of free commutative monoid on {a, b} "
+         "by degree-at-least(3) ideal",
+         "ReesQuotient(FreeCommutativeMonoid(['a', 'b']), "
+         "<DegreeAtLeastIdeal over free commutative monoid on {a, b}>)"),
+    ]
+
+
 # -- free commutative monoid ------------------------------------------------
 
 def test_commutative_product_adds_exponents():
@@ -411,17 +429,11 @@ def test_enumeration_not_available_by_default():
         def alphabet(self):
             return alphabet(1)
 
-        def identity(self):
-            return ()
-
         def contains(self, word):
             return isinstance(word, tuple)
 
         def _mul(self, x, y):
             return x + y
-
-        def _order(self, word):
-            return len(word)
 
     with pytest.raises(InfiniteGradeError):
         Opaque().elements_of_order(2)

@@ -34,6 +34,7 @@ from mobzero import (
     power,
     random_series,
     scalar_mul,
+    series_to_json,
     star,
     zeta_transform_left,
     zeta_transform_right,
@@ -89,8 +90,21 @@ def test_ring_values_come_from_the_value_type():
     assert INTEGERS.zero == 0 and INTEGERS.one == 1
     mod7 = IntegerModRing(7)
     assert (mod7.zero, mod7.one, mod7.from_int(-1)) == (0, 1, 6)
-    assert not mod7.is_negative(6) and mod7.abs(6) == 6
-    assert INTEGERS.is_negative(-2) and INTEGERS.abs(-2) == 2
+    # a residue is never negative, so -1 renders as 6 in text and JSON
+    m = free(2)
+    minus_a = Series(m, 2, {w(m, "a"): -1}, mod7)
+    assert minus_a.render() == "6a"
+    assert series_to_json(minus_a)["terms"] == [["6", ["a"]]]
+    assert Series(m, 2, {w(m, "a"): -2}).render() == "-2a"
+
+
+def test_random_series_drops_draws_that_are_zero_in_the_ring():
+    # every even draw is zero mod 2, and no series stores a zero coefficient
+    mod2 = IntegerModRing(2)
+    rng = random.Random(3)
+    for _ in range(20):
+        f = random_series(rng, free(2), 4, ring=mod2)
+        assert mod2.zero not in f.terms.values()
 
 
 # -- construction and normalization ----------------------------------------
