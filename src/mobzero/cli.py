@@ -89,7 +89,7 @@ def _load_series(args, count: int) -> list:
 
 def _emit_series(f, fmt: str):
     if fmt == "json":
-        print(json.dumps(series_to_json(f)))
+        print(series_to_json(f))
     else:
         print(f.render())
 

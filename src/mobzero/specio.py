@@ -24,7 +24,10 @@ the word in display order: for commutative monoids the sorted letter
 multiset.  The reader accepts a commutative word's letters in any order,
 and a word may appear in one term only, whatever its coefficient.
 Parsers raise :class:`SpecError` on malformed descriptions and
-:class:`MembershipError` on words that fail to belong.
+:class:`MembershipError` on words that fail to belong.  The writer,
+:func:`series_to_json`, returns the text of a series, byte for byte what
+``json.dumps`` writes for its object, terms sorted by order, then
+lexicographically.
 """
 
 from __future__ import annotations
@@ -233,7 +236,16 @@ def _parse_coefficient(text, ring: Ring):
     return Fraction(numerator, denominator)
 
 
-def series_to_json(f: Series) -> dict:
-    terms = [[str(coeff), f.monoid.word_letters(word)]
-             for word, coeff in f.items_sorted()]
-    return {"truncation": f.truncation, "terms": terms}
+def series_to_json(f: Series) -> str:
+    """The JSON text of a series, in one pass over its sorted terms.
+
+    It is byte for byte ``json.dumps`` of ``{"truncation": N, "terms":
+    [[str(coefficient), letter names], ...]}``, with the default ``", "``
+    separators.  Each letter name is quoted once, by ``json.dumps``; a
+    coefficient's ``str`` is digits, a minus sign and a slash, which JSON
+    writes as they are.
+    """
+    quoted = [json.dumps(name) for name in f.monoid.alphabet()].__getitem__
+    terms = ", ".join(['["%s", [%s]]' % (coeff, ", ".join(map(quoted, word)))
+                       for word, coeff in f.items_sorted()])
+    return '{"truncation": %d, "terms": [%s]}' % (f.truncation, terms)

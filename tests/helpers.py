@@ -9,9 +9,12 @@ characteristic series built in full, against the grades that
 predicts no-repeat word counts arithmetically instead of by enumeration,
 the term-by-term series reader parses every coefficient and spells every
 word on its own, without the coefficient memo and the letter map of
-``parse_series``, the element filter lists a grade by testing every word
-of the root base instead of extending the grade below, the filter
-counter counts every element instead of one word per residue class,
+``parse_series``, the dumps writer builds a list per term and has
+``json.dumps`` encode the series object instead of writing the text of
+``series_to_json`` in one pass, the element filter lists a grade by
+testing every word of the root base instead of extending the grade
+below, the filter counter counts every element instead of one word per
+residue class,
 the factorization filter tests both factors of every base factorization
 for membership in the quotient, the pair-by-pair product asks the
 monoid's own ``_mul`` about every term pair instead of deciding collapse
@@ -37,6 +40,7 @@ sorted letter indices.
 """
 
 import itertools
+import json
 import random
 
 from mobzero import (
@@ -388,6 +392,14 @@ def parse_series_by_terms(obj, monoid, ring=INTEGERS):
         if coeff != ring.zero:
             terms[word] = coeff
     return Series(monoid, truncation, terms, ring, _normalized=True)
+
+
+def series_json_by_dumps(f):
+    """The JSON text of a series as ``json.dumps`` writes its object: a
+    ``[str(coefficient), letter names]`` list per term, sorted."""
+    terms = [[str(coeff), f.monoid.word_letters(word)]
+             for word, coeff in f.items_sorted()]
+    return json.dumps({"truncation": f.truncation, "terms": terms})
 
 
 def seeded_generators(rng, k):

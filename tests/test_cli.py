@@ -39,6 +39,22 @@ def test_mobius_json(capsys):
         "terms": [["1", []], ["-1", ["a"]], ["-1", ["b"]], ["-1", ["c"]]]}
 
 
+@pytest.mark.parametrize("command, operands",
+                         [("mobius", 0), ("mul", 2), ("invert", 1)])
+def test_series_json_is_what_json_dumps_writes_on_escaped_letters(
+        tmp_path, capsys, command, operands):
+    monoid = json.dumps({"type": "free",
+                         "alphabet": ["x1", "é", 'q"', "b\\s"]})
+    operand = write_series(tmp_path, "f.json", {
+        "truncation": 3,
+        "terms": [["1", []], ["-2", ['q"']], ["3", ["é", "b\\s"]]]})
+    argv = [command, "--monoid", monoid, "--order", "3", "--format", "json"]
+    argv += ["--series", operand] * operands
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == json.dumps(json.loads(out)) + "\n"
+
+
 def test_mobius_deterministic(capsys):
     first = run(capsys, "mobius", "--monoid", STANDARD)
     second = run(capsys, "mobius", "--monoid", STANDARD)

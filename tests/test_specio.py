@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mobzero import (
+    Alphabet,
     DegreeAtLeastIdeal,
     EvPreimageIdeal,
     FreeCommutativeMonoid,
+    FreeMonoid,
     GeneratedIdeal,
     INTEGERS,
     IntegerModRing,
@@ -37,6 +39,7 @@ from helpers import (
     commutative,
     free,
     parse_series_by_terms,
+    series_json_by_dumps,
     standard_words,
 )
 
@@ -240,7 +243,39 @@ def test_series_json_roundtrips_on_every_builtin_monoid():
     for m in builtin_monoids(3):
         for _ in range(5):
             f = random_series(rng, m, 5, max_support_order=5)
-            assert parse_series(series_to_json(f), m) == f, m.describe()
+            obj = json.loads(series_to_json(f))
+            assert parse_series(obj, m) == f, m.describe()
+
+
+def writer_monoids():
+    """Every built-in realization on one to three letters, a generated
+    quotient, and bases and quotients whose letter names JSON escapes or
+    that are longer than one character."""
+    base = free(3)
+    out = [m for k in (1, 2, 3) for m in builtin_monoids(k)]
+    out.append(ReesQuotient(base, GeneratedIdeal(base, [(0, 1), (2, 2)])))
+    escaped = Alphabet(["x1", "é", 'q"', "b\\s"])
+    free_base = FreeMonoid(escaped)
+    comm_base = FreeCommutativeMonoid(escaped)
+    return out + [free_base, comm_base,
+                  ReesQuotient(free_base, RepeatedLetterIdeal(free_base)),
+                  ReesQuotient(comm_base, DegreeAtLeastIdeal(comm_base, 3))]
+
+
+@pytest.mark.parametrize("ring, scale", [
+    (INTEGERS, 10**30 + 7),
+    (RATIONALS, Fraction(-7, 3)),
+    (IntegerModRing(5), 3),
+], ids=["integers", "rationals", "mod5"])
+def test_series_to_json_writes_what_json_dumps_writes(ring, scale):
+    rng = random.Random(3)
+    for m in writer_monoids():
+        cases = [Series.zero(m, 4, ring), Series.one(m, 4, ring)]
+        for _ in range(5):
+            f = random_series(rng, m, 5, max_support_order=5, ring=ring)
+            cases += [f, scale * f]
+        for f in cases:
+            assert series_to_json(f) == series_json_by_dumps(f), m.describe()
 
 
 def test_parse_series_rejects_word_that_is_not_a_list():
@@ -321,7 +356,9 @@ def wire_series(draw):
 @settings(max_examples=150, deadline=None)
 @given(wire_series())
 def test_series_json_roundtrips_in_every_ring(f):
-    assert parse_series(series_to_json(f), f.monoid, f.ring) == f
+    text = series_to_json(f)
+    assert text == series_json_by_dumps(f)
+    assert parse_series(json.loads(text), f.monoid, f.ring) == f
 
 
 def read_outcome(read, obj, m, ring=INTEGERS):
@@ -354,7 +391,7 @@ def wire_objects(draw):
         values = (st.fractions(-2, 2, max_denominator=3) if ring == RATIONALS
                   else st.integers(-3, 3))
         f = Series(m, truncation, {x: draw(values) for x in words}, ring)
-        return m, ring, series_to_json(f)
+        return m, ring, json.loads(series_to_json(f))
     coefficient = st.sampled_from(["0", "1", "-1", "12", "007", "1/2", "-3/4",
                                    "2/4"])
     letters = st.lists(st.sampled_from(list(m.alphabet())),
@@ -446,7 +483,7 @@ def test_parse_series_truncation_must_match_request():
 def test_series_json_roundtrip_sorted():
     m = standard_words()
     mu = mobius_series(m, 4)
-    obj = series_to_json(mu)
+    obj = json.loads(series_to_json(mu))
     assert obj == {"truncation": 4,
                    "terms": [["1", []], ["-1", ["a"]], ["-1", ["b"]],
                              ["-1", ["c"]]]}
@@ -457,7 +494,7 @@ def test_series_json_commutative_sorted_multiset():
     m = commutative(2)
     f = Series(m, 3, {m.word_from_letters(["b", "a", "b"]): 5,
                       m.word_from_letters(["a", "a"]): 1})
-    obj = series_to_json(f)
+    obj = json.loads(series_to_json(f))
     assert obj["terms"] == [["1", ["a", "a"]], ["5", ["a", "b", "b"]]]
     assert parse_series(obj, m) == f
 
