@@ -34,44 +34,32 @@ def build_parser() -> argparse.ArgumentParser:
         description="Truncated series arithmetic over monoids with zero.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, series=False):
+    def command(name, run, help, series=False, order_help="truncation order"):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--monoid", required=True, metavar="FILE|JSON",
                        help="monoid description, inline JSON or a file path")
         p.add_argument("--order", type=int, default=DEFAULT_TRUNCATION,
-                       metavar="N", help="truncation order (default 8)")
+                       metavar="N", help=order_help + " (default %(default)s)")
         p.add_argument("--format", choices=("text", "json"), default="text")
         if series:
             p.add_argument("--series", action="append", default=[],
                            metavar="FILE", help="series operand (repeatable)")
+        p.set_defaults(run=run)
+        return p
 
-    p = sub.add_parser("mobius", help="Mobius series of the monoid")
-    common(p)
-
-    p = sub.add_parser("star", help="sum of all powers of a proper series")
-    common(p, series=True)
-
-    p = sub.add_parser("mul", help="product of two series")
-    common(p, series=True)
-
-    p = sub.add_parser("invert", help="Mobius inversion of a series")
-    common(p, series=True)
+    command("mobius", _cmd_mobius, "Mobius series of the monoid")
+    command("star", _cmd_star, "sum of all powers of a proper series",
+            series=True)
+    command("mul", _cmd_mul, "product of two series", series=True)
+    p = command("invert", _cmd_invert, "Mobius inversion of a series",
+                series=True)
     p.add_argument("--side", choices=("left", "right"), default="left")
-
-    p = sub.add_parser("hilbert", help="counts of elements by order")
-    common(p)
-    p.add_argument("--terms", type=int, default=None, metavar="T",
-                   help="top degree to report (default: the order)")
-
-    p = sub.add_parser("count", help="list elements order by order")
-    common(p)
-    p.add_argument("--terms", type=int, default=None, metavar="T",
-                   help="top order to list (default: the order)")
-
-    p = sub.add_parser("verify", help="run the built-in identity checks")
-    common(p)
-    p.add_argument("--terms", type=int, default=None, metavar="T",
-                   help="top degree for the counting check (default: the order)")
-
+    command("hilbert", _cmd_hilbert, "counts of elements by order",
+            order_help="top degree counted")
+    command("count", _cmd_count, "list elements order by order",
+            order_help="top degree listed")
+    command("verify", _cmd_verify, "run the built-in identity checks",
+            order_help="top degree checked")
     return parser
 
 
@@ -88,10 +76,7 @@ def _load_series(args, count: int) -> list:
 
 
 def _emit_series(f, fmt: str):
-    if fmt == "json":
-        print(series_to_json(f))
-    else:
-        print(f.render())
+    print(series_to_json(f) if fmt == "json" else f.render())
 
 
 def _cmd_mobius(args) -> int:
@@ -113,25 +98,21 @@ def _cmd_mul(args) -> int:
 
 def _cmd_invert(args) -> int:
     (g,) = _load_series(args, 1)
-    if args.side == "left":
-        _emit_series(mobius_invert_left(g), args.format)
-    else:
-        _emit_series(mobius_invert_right(g), args.format)
+    invert = mobius_invert_left if args.side == "left" else mobius_invert_right
+    _emit_series(invert(g), args.format)
     return 0
 
 
 def _cmd_hilbert(args) -> int:
-    counts = hilbert_prefix(args.parsed_monoid, args.terms)
-    if args.format == "json":
-        print(json.dumps({"counts": list(counts)}))
-    else:
-        print(poly_text(counts))
+    counts = hilbert_prefix(args.parsed_monoid, args.order)
+    print(json.dumps({"counts": list(counts)}) if args.format == "json"
+          else poly_text(counts))
     return 0
 
 
 def _cmd_count(args) -> int:
     m = args.parsed_monoid
-    grades = m.grades(args.terms)
+    grades = m.grades(args.order)
     if args.format == "json":
         orders = [{"order": n, "count": len(elements),
                    "elements": [m.word_letters(w) for w in elements]}
@@ -144,26 +125,14 @@ def _cmd_count(args) -> int:
     return 0
 
 
-# The checks of `verify`, in the order they run and print: the name of
-# the report, which monoids the check applies to, and the call that makes
-# the report.  The calls look the check functions up when they run.
-_VERIFY_CHECKS = (
-    ("unit-inverse", lambda m: True,
-     lambda m, args: check_unit_inverse(m, args.order)),
-    ("oracle-equivalence", lambda m: True,
-     lambda m, args: check_oracle_equivalence(m, min(args.order, 6))),
-    ("mobius-transfer", lambda m: isinstance(m, ReesQuotient),
-     lambda m, args: check_mobius_transfer(m, args.order)),
-    ("hilbert-relation",
-     lambda m: isinstance(m, ReesQuotient) and isinstance(m.base, FreeMonoid),
-     lambda m, args: check_hilbert_relation(m, args.terms)),
-)
-
-
 def _cmd_verify(args) -> int:
-    m = args.parsed_monoid
-    reports = [run(m, args) for _, applies, run in _VERIFY_CHECKS
-               if applies(m)]
+    m, n = args.parsed_monoid, args.order
+    reports = [check_unit_inverse(m, n),
+               check_oracle_equivalence(m, min(n, 6))]
+    if isinstance(m, ReesQuotient):
+        reports.append(check_mobius_transfer(m, n))
+        if isinstance(m.base, FreeMonoid):
+            reports.append(check_hilbert_relation(m, n))
     ok = all(r.passed for r in reports)
     if args.format == "json":
         print(json.dumps({"checks": [r.to_json() for r in reports],
@@ -172,17 +141,6 @@ def _cmd_verify(args) -> int:
         for r in reports:
             print(str(r))
     return 0 if ok else 2
-
-
-_COMMANDS = {
-    "mobius": _cmd_mobius,
-    "star": _cmd_star,
-    "mul": _cmd_mul,
-    "invert": _cmd_invert,
-    "hilbert": _cmd_hilbert,
-    "count": _cmd_count,
-    "verify": _cmd_verify,
-}
 
 
 _parser = None
@@ -198,18 +156,13 @@ def main(argv=None) -> int:
     try:
         if args.order < 0:
             raise ValueError(f"order must be nonnegative, got {args.order}")
-        # hilbert, count and verify take --terms, which defaults to the
-        # order; verify may have no check that reads it, and must reject a
-        # negative one all the same
-        if getattr(args, "terms", None) is None:
-            args.terms = args.order
-        elif args.terms < 0:
-            raise ValueError(f"terms must be nonnegative, got {args.terms}")
         args.parsed_monoid = parse_monoid(read_json_source(args.monoid))
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (AlgebraError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except RecursionError:
+        print("error: the description is nested too deeply", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -120,6 +120,10 @@ class MinLengthIdeal(IdealSpec):
     bound_name = "min-length bound"
 
     def __init__(self, base: ZeroMonoid, n: int):
+        # checked before the word kind, so a description with a bad bound
+        # over the wrong base is reported for its bound
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise SpecError(f"{self.bound_name} must be an integer, got {n!r}")
         _require_word_kind(base, self.kind, self.word_kind)
         if n < 1:
             raise SpecError(f"{self.bound_name} must be at least 1, got {n}")

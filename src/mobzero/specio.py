@@ -128,10 +128,7 @@ def parse_ideal(obj: dict, base: ZeroMonoid) -> IdealSpec:
     if kind == "repeated-letter":
         return RepeatedLetterIdeal(base)
     if kind == "min-length":
-        n = _field(obj, "n", "min-length ideal")
-        if not _is_integer(n):
-            raise SpecError(f"min-length bound must be an integer, got {n!r}")
-        return MinLengthIdeal(base, n)
+        return MinLengthIdeal(base, _field(obj, "n", "min-length ideal"))
     if kind == "generated":
         raw = _field(obj, "words", "generated ideal")
         if not isinstance(raw, list):
@@ -140,10 +137,8 @@ def parse_ideal(obj: dict, base: ZeroMonoid) -> IdealSpec:
         words = [base._spell(_letters(entry, "a generator")) for entry in raw]
         return GeneratedIdeal(base, words)
     if kind == "degree-at-least":
-        d = _field(obj, "d", "degree-at-least ideal")
-        if not _is_integer(d):
-            raise SpecError(f"degree bound must be an integer, got {d!r}")
-        return DegreeAtLeastIdeal(base, d)
+        return DegreeAtLeastIdeal(base,
+                                  _field(obj, "d", "degree-at-least ideal"))
     if kind == "ev-preimage":
         inner_obj = _field(obj, "inner", "ev-preimage ideal")
         inner_base = FreeCommutativeMonoid(base.alphabet())

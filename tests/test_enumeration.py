@@ -196,7 +196,7 @@ def test_count_command_lists_sorted_survivors(capsys):
     spec = {"type": "rees",
             "base": {"type": "free", "alphabet": ["a", "b", "c"]},
             "ideal": {"kind": "generated", "words": [["a", "b"], ["c", "c"]]}}
-    assert main(["count", "--monoid", json.dumps(spec), "--terms", "5",
+    assert main(["count", "--monoid", json.dumps(spec), "--order", "5",
                  "--format", "json"]) == 0
     orders = json.loads(capsys.readouterr().out)["orders"]
     base = free(3)

@@ -53,6 +53,18 @@ def test_min_length_bound_validated():
         MinLengthIdeal(commutative(2), 2)
 
 
+@pytest.mark.parametrize("cls, base, bound", [
+    (MinLengthIdeal, free(2), 2.5),
+    (MinLengthIdeal, free(2), True),
+    (MinLengthIdeal, free(2), "3"),
+    (DegreeAtLeastIdeal, commutative(2), 1.5),
+    (DegreeAtLeastIdeal, commutative(2), "3"),
+], ids=["float", "bool", "str", "degree-float", "degree-str"])
+def test_length_bound_must_be_an_integer(cls, base, bound):
+    with pytest.raises(SpecError, match="must be an integer"):
+        cls(base, bound)
+
+
 def test_generated_factor_containment():
     base = free(3)
     ideal = GeneratedIdeal(base, [w(base, "c")])
