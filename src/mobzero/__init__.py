@@ -19,11 +19,9 @@ from .errors import (
     TruncationError,
 )
 from .monoid import (
-    DEFAULT_TRUNCATION,
     Alphabet,
     FreeCommutativeMonoid,
     FreeMonoid,
-    MonoidValue,
     ReesQuotient,
     Report,
     Word,

@@ -14,7 +14,7 @@ import sys
 
 from .errors import AlgebraError
 from .hilbert import check_hilbert_relation, hilbert_prefix, poly_text
-from .monoid import DEFAULT_TRUNCATION, FreeMonoid, ReesQuotient
+from .monoid import FreeMonoid, ReesQuotient
 from .quotient_maps import check_mobius_transfer
 from .series import (
     cauchy_product,
@@ -26,6 +26,8 @@ from .series import (
     star,
 )
 from .specio import parse_series, read_json_source, parse_monoid, series_to_json
+
+DEFAULT_TRUNCATION = 8
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -17,8 +17,8 @@ from .monoid import FreeMonoid, ReesQuotient, Report, ZeroMonoid
 from .series import signed_sum
 
 
-def hilbert_prefix(m: ZeroMonoid, terms: int) -> tuple:
-    """Count nonzero elements of each order from 0 up to ``terms``, as a
+def hilbert_prefix(m: ZeroMonoid, top: int) -> tuple:
+    """Count nonzero elements of each order from 0 up to ``top``, as a
     tuple indexed by order.
 
     Each grade is held as one representative word and a multiplicity per
@@ -27,16 +27,16 @@ def hilbert_prefix(m: ZeroMonoid, terms: int) -> tuple:
     extensions of equal residues, so the counts are exact while each
     grade costs its number of residues times the extensions of one word,
     not its number of elements.  Needs ``m.extend``: a monoid without it
-    raises :class:`InfiniteGradeError` for ``terms`` above 0.
+    raises :class:`InfiniteGradeError` for ``top`` above 0.
     """
-    if terms < 0:
-        raise ValueError(f"terms must be nonnegative, got {terms}")
+    if top < 0:
+        raise ValueError(f"top must be nonnegative, got {top}")
     extend = m.extend
     residue = m.residue
     one = m.identity()
     grade = {residue(one): [one, 1]}
     counts = [1]
-    for _ in range(terms):
+    for _ in range(top):
         above = {}
         for word, multiplicity in grade.values():
             for child in extend(word):
@@ -50,8 +50,9 @@ def hilbert_prefix(m: ZeroMonoid, terms: int) -> tuple:
     return tuple(counts)
 
 
-def check_hilbert_relation(q: ReesQuotient, terms: int) -> Report:
-    """Quotient count plus ideal count must equal the full alphabet power.
+def check_hilbert_relation(q: ReesQuotient, top: int) -> Report:
+    """Quotient count plus ideal count must equal the full alphabet power,
+    at every degree from 0 to ``top``.
 
     Demands a free base so the total at degree n is k**n analytically;
     the ideal side tests every word of length n, built here and not by
@@ -59,8 +60,8 @@ def check_hilbert_relation(q: ReesQuotient, terms: int) -> Report:
     comes from :func:`hilbert_prefix`, which counts residue classes and
     builds no grade, making three independent routes per degree.
     """
-    if terms < 0:
-        raise ValueError(f"terms must be nonnegative, got {terms}")
+    if top < 0:
+        raise ValueError(f"top must be nonnegative, got {top}")
     if not isinstance(q.base, FreeMonoid):
         raise SpecError(
             "the complement rule needs a free base monoid, got "
@@ -68,7 +69,7 @@ def check_hilbert_relation(q: ReesQuotient, terms: int) -> Report:
     k = len(q.base.alphabet())
     contains = q.ideal.contains
     violations = []
-    quotient_counts = list(hilbert_prefix(q, terms))
+    quotient_counts = list(hilbert_prefix(q, top))
     for n, survive in enumerate(quotient_counts):
         total = k ** n
         in_ideal = sum(1 for w in itertools.product(range(k), repeat=n)

@@ -133,9 +133,6 @@ class MinLengthIdeal(IdealSpec):
     def contains(self, word: Word) -> bool:
         return len(word) >= self.n
 
-    # the length test is as cheap as any incremental one
-    contains_extension = contains
-
     def residue(self, word: Word):
         return ()
 

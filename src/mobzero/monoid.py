@@ -36,8 +36,6 @@ from .errors import InfiniteGradeError, MembershipError, SpecError
 
 Word = tuple  # tuple[int, ...]; letter indices in display order
 
-DEFAULT_TRUNCATION = 8
-
 
 class Zero:
     """Singleton marker for the absorbing element of a monoid product."""
@@ -283,16 +281,11 @@ class ZeroMonoid(ABC):
         :class:`MembershipError`, naming the letters as given, when the
         spelled word is not an element.
         """
-        word = self._spell(names)
+        word = self._from_indices(self.alphabet().spell(names))
         if self._collapses(word):
             raise MembershipError(
                 f"{names!r} is not an element of {self.describe()}")
         return word
-
-    def _spell(self, names: Iterable[str]) -> Word:
-        """The word of the root base spelled by letter names; always a
-        word of that base."""
-        return self._from_indices(self.alphabet().spell(names))
 
     # The word of the root base whose letters have the given alphabet
     # indices; any iterable of indices will do.  A sequence word is the
@@ -300,7 +293,7 @@ class ZeroMonoid(ABC):
     _from_indices = staticmethod(tuple)
 
     def _collapses(self, word: Word) -> bool:
-        """Whether a word from :meth:`_spell` lies in an ideal collapsed
+        """Whether a word of the root base lies in an ideal collapsed
         to zero here: the only way it can fail to be an element."""
         return False
 

@@ -16,14 +16,8 @@ series onto the quotient's.
 from __future__ import annotations
 
 from .errors import MonoidMismatchError
-from .monoid import DEFAULT_TRUNCATION, Report, ReesQuotient
-from .series import (
-    INTEGERS,
-    Ring,
-    Series,
-    first_difference,
-    mobius_series,
-)
+from .monoid import Report, ReesQuotient
+from .series import Series, first_difference, mobius_series
 
 
 def phi(q: ReesQuotient, f: Series) -> Series:
@@ -51,18 +45,16 @@ def section(q: ReesQuotient, f: Series) -> Series:
                   _normalized=True)
 
 
-def check_mobius_transfer(q: ReesQuotient,
-                          truncation: int = DEFAULT_TRUNCATION,
-                          ring: Ring = INTEGERS) -> Report:
+def check_mobius_transfer(q: ReesQuotient, truncation: int) -> Report:
     """The quotient's Mobius series is the projection of the base's.
 
     Both sides are computed intrinsically and compared.  The note records
     whether the base series even touches the ideal; when it does not, the
     two coincide term for term as raw coefficient maps.
     """
-    mu_base = mobius_series(q.base, truncation, ring)
+    mu_base = mobius_series(q.base, truncation)
     transferred = phi(q, mu_base)
-    mu_quotient = mobius_series(q, truncation, ring)
+    mu_quotient = mobius_series(q, truncation)
     violations = []
     if transferred != mu_quotient:
         violations.append(

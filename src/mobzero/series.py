@@ -23,7 +23,7 @@ from typing import Optional
 
 from .errors import (AlgebraError, MonoidMismatchError, ProperError,
                      TruncationError)
-from .monoid import DEFAULT_TRUNCATION, Report, Word, ZERO, ZeroMonoid
+from .monoid import Report, Word, ZERO, ZeroMonoid
 
 
 class Ring:
@@ -137,11 +137,11 @@ class Series:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, monoid, truncation=DEFAULT_TRUNCATION, ring=INTEGERS):
+    def zero(cls, monoid, truncation, ring=INTEGERS):
         return cls(monoid, truncation, {}, ring, _normalized=True)
 
     @classmethod
-    def one(cls, monoid, truncation=DEFAULT_TRUNCATION, ring=INTEGERS):
+    def one(cls, monoid, truncation, ring=INTEGERS):
         return cls(monoid, truncation, {monoid.identity(): ring.one}, ring,
                    _normalized=True)
 
@@ -162,9 +162,6 @@ class Series:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_proper(self) -> bool:
-        return self.augmentation() == self.ring.zero
 
     def items_sorted(self) -> list:
         order = self.monoid._order
@@ -429,7 +426,7 @@ def power(f: Series, k: int) -> Series:
 
 
 def _require_proper(f: Series):
-    if not f.is_proper():
+    if f.augmentation() != f.ring.zero:
         raise ProperError(
             f"star requires a proper series; coefficient at the identity "
             f"is {f.augmentation()}")
@@ -489,14 +486,14 @@ def _solve_star(m: ZeroMonoid, cap: int, ring: Ring, buckets: list) -> Series:
     return Series(m, cap, terms, ring, _normalized=True)
 
 
-def characteristic_series(m: ZeroMonoid, truncation: int = DEFAULT_TRUNCATION,
+def characteristic_series(m: ZeroMonoid, truncation: int,
                           ring: Ring = INTEGERS) -> Series:
     """Sum of every nonzero element up to the truncation, coefficient one."""
     terms = {x: ring.one for grade in m.grades(truncation) for x in grade}
     return Series(m, truncation, terms, ring, _normalized=True)
 
 
-def mobius_series(m: ZeroMonoid, truncation: int = DEFAULT_TRUNCATION,
+def mobius_series(m: ZeroMonoid, truncation: int,
                   ring: Ring = INTEGERS) -> Series:
     """Inverse of the characteristic series: the star of -zeta+, where
     zeta+ sums every element of order 1..N.
@@ -570,13 +567,12 @@ def random_series(rng, m: ZeroMonoid, truncation: int,
     return Series(m, truncation, terms, ring, _normalized=True)
 
 
-def check_unit_inverse(m: ZeroMonoid, truncation: int = DEFAULT_TRUNCATION,
-                       ring: Ring = INTEGERS) -> Report:
+def check_unit_inverse(m: ZeroMonoid, truncation: int) -> Report:
     """Verify that the Mobius series inverts the characteristic series on
     both sides at the given truncation."""
-    zeta = characteristic_series(m, truncation, ring)
-    mu = mobius_series(m, truncation, ring)
-    one = Series.one(m, truncation, ring)
+    zeta = characteristic_series(m, truncation)
+    mu = mobius_series(m, truncation)
+    one = Series.one(m, truncation)
     violations = []
     left = cauchy_product(mu, zeta)
     if left != one:
@@ -589,18 +585,17 @@ def check_unit_inverse(m: ZeroMonoid, truncation: int = DEFAULT_TRUNCATION,
     return Report("unit-inverse", tuple(violations))
 
 
-def check_oracle_equivalence(m: ZeroMonoid, truncation: int = 6,
-                             ring: Ring = INTEGERS) -> Report:
+def check_oracle_equivalence(m: ZeroMonoid, truncation: int) -> Report:
     """Compare the pair-loop product against the factorization-based one
     on 20 random series pairs drawn from seed 0; the factorizations of
     each element are listed once and shared by every pair."""
     import random
 
     rng = random.Random(0)
-    pairs = [(random_series(rng, m, truncation, ring=ring),
-              random_series(rng, m, truncation, ring=ring))
+    pairs = [(random_series(rng, m, truncation),
+              random_series(rng, m, truncation))
              for _ in range(20)]
-    slows = _convolve_pairs(m, ring, truncation, pairs)
+    slows = _convolve_pairs(m, INTEGERS, truncation, pairs)
     violations = []
     for i, ((f, g), slow) in enumerate(zip(pairs, slows)):
         fast = cauchy_product(f, g)

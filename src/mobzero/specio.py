@@ -15,8 +15,11 @@ ideal       {"kind": "repeated-letter"}
 series      {"truncation": 8, "terms": [["1", []], ["-1", ["a"]]]}
 
 Series coefficients travel as decimal strings (ASCII digits with an
-optional leading minus sign, nothing else) so arbitrary-precision
-integers survive any JSON implementation.  Over the rationals a
+optional leading minus sign, nothing else), so no JSON implementation
+reads them as floats.  A coefficient longer than
+``sys.get_int_max_str_digits()`` digits (4,300 by Python's default) is
+refused on reading and fails on writing; the digit-limit item of
+ROADMAP.md covers lifting that bound.  Over the rationals a
 coefficient may also be a fraction ``p/q`` as ``str(Fraction)`` writes
 it: a decimal numerator, a slash and an unsigned denominator of at least
 2, in lowest terms.  Words travel as letter-name lists, the letters of
@@ -133,8 +136,8 @@ def parse_ideal(obj: dict, base: ZeroMonoid) -> IdealSpec:
         raw = _field(obj, "words", "generated ideal")
         if not isinstance(raw, list):
             raise SpecError(f"generator list must be a list, got {raw!r}")
-        # GeneratedIdeal rejects a generator outside the base itself
-        words = [base._spell(_letters(entry, "a generator")) for entry in raw]
+        words = [base.word_from_letters(_letters(entry, "a generator"))
+                 for entry in raw]
         return GeneratedIdeal(base, words)
     if kind == "degree-at-least":
         return DegreeAtLeastIdeal(base,

@@ -362,3 +362,16 @@ def test_term_inside_the_ideal_is_named_by_its_letters(tmp_path, capsys):
                "--series", g) == (1, "", (
         "error: ['b', 'a', 'a', 'b'] is not an element of Rees quotient of "
         "free commutative monoid on {a, b} by degree-at-least(3) ideal\n"))
+
+
+def test_generator_inside_the_inner_ideal_is_named_by_its_letters(capsys):
+    # a generator over a quotient base is spelled as an element of that
+    # base, so the reader's letters are named, not the letter indices
+    monoid = json.dumps({
+        "type": "rees",
+        "base": {"type": "rees", "base": json.loads(FREE_AB),
+                 "ideal": {"kind": "repeated-letter"}},
+        "ideal": {"kind": "generated", "words": [["b", "b"]]}})
+    assert run(capsys, "mobius", "--monoid", monoid) == (1, "", (
+        "error: ['b', 'b'] is not an element of Rees quotient of free monoid "
+        "on {a, b} by repeated-letter ideal\n"))

@@ -108,7 +108,7 @@ def test_far_avoiding_ab_counts_follow_their_recurrence():
 ], ids=lambda v: "-".join(v) if isinstance(v, list) else str(v))
 def test_far_generated_counts_match_the_cluster_method(k, generators, top):
     base = free(k)
-    words = [base._spell(g) for g in generators]
+    words = [base.word_from_letters(g) for g in generators]
     q = ReesQuotient(base, GeneratedIdeal(base, words))
     assert list(hilbert_prefix(q, top)) == \
         avoiding_counts_by_clusters(k, words, top)

@@ -1,0 +1,41 @@
+"""Every name a library module imports is used in that module.
+
+The package's ``__init__.py`` imports names to export them, so it is
+left out; every other module of ``src/mobzero`` is scanned with ``ast``.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCE = Path(__file__).resolve().parents[1] / "src" / "mobzero"
+MODULES = sorted(p for p in SOURCE.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(tree: ast.Module) -> list:
+    """The names the module's imports bind that nothing in it reads."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                # ``import a.b`` binds ``a``
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+def test_the_scan_finds_an_unused_import():
+    tree = ast.parse("import os\nfrom typing import Union, Sequence\n"
+                     "def f(x: Sequence):\n    return x\n")
+    assert unused_imports(tree) == [(1, "os"), (2, "Union")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert unused_imports(tree) == []
