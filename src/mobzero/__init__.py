@@ -43,7 +43,6 @@ from .series import (
     IntegerModRing,
     Ring,
     Series,
-    add,
     cauchy_product,
     characteristic_series,
     check_oracle_equivalence,
@@ -55,7 +54,6 @@ from .series import (
     mobius_series,
     power,
     random_series,
-    scalar_mul,
     star,
     zeta_transform_left,
     zeta_transform_right,

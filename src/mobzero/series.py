@@ -10,7 +10,8 @@ falls onto it are simply discarded by the Cauchy product, which is what
 
 Coefficients live in a pluggable commutative ring.  The default is exact
 arbitrary-precision integers; rationals and integers mod m are provided
-as well.
+as well.  Coefficients are combined with Python's own ``+`` and ``*``,
+and a ring's ``reduce`` brings each term a loop writes to canonical form.
 """
 
 from __future__ import annotations
@@ -29,15 +30,17 @@ from .monoid import Report, Word, ZERO, ZeroMonoid
 class Ring:
     """Exact commutative ring with unit on ``int`` or ``Fraction`` values.
 
-    The arithmetic is Python's own, so the hot loops that bind ``add`` and
-    ``mul`` call C functions; equal rings have the same class and name.
-    Values render with ``str`` and carry their sign: a residue mod m is
-    one of 0..m-1, never negative.
+    A ring is its value type, its ``zero`` and ``one``, and ``reduce``,
+    the canonical form of a value.  The arithmetic is Python's own ``+``,
+    ``-`` and ``*`` on the values, left unreduced inside a loop; ``reduce``
+    is applied once to each term the loop writes.  That is exact because
+    ``reduce`` is a ring morphism from the values onto the canonical ones.
+    Here it is the identity; equal rings have the same class, name and
+    value type.  Values render with ``str`` and carry their sign: a
+    residue mod m is one of 0..m-1, never negative.
     """
 
-    add = staticmethod(operator.add)
-    neg = staticmethod(operator.neg)
-    mul = staticmethod(operator.mul)
+    reduce = staticmethod(operator.pos)
 
     def __init__(self, name: str, value_type: type):
         # exactness: no float, and no other inexact type, becomes a ring
@@ -50,7 +53,7 @@ class Ring:
         self.one = value_type(1)
 
     def from_int(self, n: int):
-        return self.value_type(n)
+        return self.reduce(self.value_type(n))
 
     def coerce(self, a, what: str):
         """``a`` as a value of the ring: plain ints are coerced, any other
@@ -64,7 +67,8 @@ class Ring:
         return self.name
 
     def __eq__(self, other):
-        return type(other) is type(self) and other.name == self.name
+        return (type(other) is type(self) and other.name == self.name
+                and other.value_type is self.value_type)
 
     def __hash__(self):
         return hash(self.name)
@@ -81,17 +85,8 @@ class IntegerModRing(Ring):
         super().__init__(f"integers mod {modulus}", int)
         self.modulus = modulus
 
-    def add(self, a, b):
-        return (a + b) % self.modulus
-
-    def neg(self, a):
-        return (-a) % self.modulus
-
-    def mul(self, a, b):
-        return (a * b) % self.modulus
-
-    def from_int(self, n):
-        return n % self.modulus
+    def reduce(self, a):
+        return a % self.modulus
 
 
 INTEGERS = Ring("integers", int)
@@ -202,7 +197,7 @@ class Series:
     def __repr__(self):
         return f"<Series N={self.truncation} {self.render()}>"
 
-    # -- arithmetic (delegates to the module-level operations) -------------
+    # -- arithmetic: the algebra's ring operations ---------------------------
 
     def __eq__(self, other):
         return (isinstance(other, Series)
@@ -212,31 +207,47 @@ class Series:
                 and other.terms == self.terms)
 
     def __add__(self, other):
+        """Coefficientwise sum at the lower of the two truncations."""
         if not isinstance(other, Series):
             return NotImplemented
-        return add(self, other)
+        _check_compatible(self, other)
+        ring = self.ring
+        cap = min(self.truncation, other.truncation)
+        order = self.monoid._order
+        terms = {w: c for w, c in self.terms.items() if order(w) <= cap}
+        for w, c in other.terms.items():
+            if order(w) > cap:
+                continue
+            total = ring.reduce(terms.get(w, ring.zero) + c)
+            if total == ring.zero:
+                terms.pop(w, None)
+            else:
+                terms[w] = total
+        return Series(self.monoid, cap, terms, ring, _normalized=True)
 
     def __sub__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
-        return add(self, scalar_mul(self.ring.neg(self.ring.one), other))
+        return self + -1 * other
 
     def __neg__(self):
-        return scalar_mul(self.ring.neg(self.ring.one), self)
+        return -1 * self
 
     def __mul__(self, other):
         if isinstance(other, Series):
             return cauchy_product(self, other)
-        return scalar_mul(other, self)
+        return self.__rmul__(other)
 
-    def __rmul__(self, other):
-        return scalar_mul(other, self)
-
-    def star(self):
-        return star(self)
-
-    def power(self, k):
-        return power(self, k)
+    def __rmul__(self, alpha):
+        """Scalar multiple, on either side as the ring is commutative;
+        the scalar is coerced as the constructor coerces coefficients
+        (:meth:`Ring.coerce`)."""
+        ring = self.ring
+        alpha = ring.coerce(alpha, "scalar")
+        terms = {w: v for w, c in self.terms.items()
+                 if (v := ring.reduce(alpha * c)) != ring.zero}
+        return Series(self.monoid, self.truncation, terms, ring,
+                      _normalized=True)
 
 
 def signed_sum(terms) -> str:
@@ -263,34 +274,6 @@ def _check_compatible(f: Series, g: Series):
             f"series over ring {f.ring!r} combined with series over {g.ring!r}")
 
 
-def add(f: Series, g: Series) -> Series:
-    """Coefficientwise sum at truncation min(f.N, g.N)."""
-    _check_compatible(f, g)
-    ring = f.ring
-    cap = min(f.truncation, g.truncation)
-    order = f.monoid._order
-    terms = {w: c for w, c in f.terms.items() if order(w) <= cap}
-    for w, c in g.terms.items():
-        if order(w) > cap:
-            continue
-        total = ring.add(terms.get(w, ring.zero), c)
-        if total == ring.zero:
-            terms.pop(w, None)
-        else:
-            terms[w] = total
-    return Series(f.monoid, cap, terms, ring, _normalized=True)
-
-
-def scalar_mul(alpha, f: Series) -> Series:
-    """Left scalar multiple; the scalar is coerced as the constructor
-    coerces coefficients (:meth:`Ring.coerce`)."""
-    ring = f.ring
-    alpha = ring.coerce(alpha, "scalar")
-    terms = {w: v for w, c in f.terms.items()
-             if (v := ring.mul(alpha, c)) != ring.zero}
-    return Series(f.monoid, f.truncation, terms, ring, _normalized=True)
-
-
 def _by_order(terms, order) -> list:
     """(n, the (word, coefficient) pairs of ``terms`` of order n) for
     every order n that holds terms, in increasing n."""
@@ -312,11 +295,12 @@ def _seam_classes(terms: list, key) -> list:
     return list(classes.values())
 
 
-def _add_products(m: ZeroMonoid, ring: Ring, cap: int, pending,
-                  x_classes: list, y_orders: list):
+def _add_products(m: ZeroMonoid, cap: int, pending, x_classes: list,
+                  y_orders: list):
     """Add a*b at xy into ``pending[ord(xy)]`` for every term (x, a) of
     the classes ``x_classes`` and (y, b) of the class lists
-    ``y_orders``, dropping products of order above ``cap``.
+    ``y_orders``, dropping products of order above ``cap``.  The sums are
+    left unreduced: the caller reduces each term it keeps.
 
     The x terms are one order's seam classes by the right key, and each
     entry of ``y_orders`` is one order's classes by the left key (see
@@ -327,7 +311,6 @@ def _add_products(m: ZeroMonoid, ring: Ring, cap: int, pending,
     """
     keys = m._seam_keys
     mul, collapses, order = m._root_mul, m._mul, m._order
-    radd, rmul = ring.add, ring.mul
     last = -1
     for xs in x_classes:
         for y_classes in y_orders:
@@ -344,8 +327,7 @@ def _add_products(m: ZeroMonoid, ring: Ring, cap: int, pending,
                                 continue
                             last, acc = oz, pending[oz]
                         prev = acc.get(z)
-                        acc[z] = (rmul(a, b) if prev is None
-                                  else radd(prev, rmul(a, b)))
+                        acc[z] = a * b if prev is None else prev + a * b
 
 
 def cauchy_product(f: Series, g: Series) -> Series:
@@ -371,9 +353,10 @@ def cauchy_product(f: Series, g: Series) -> Series:
     # a product of a few terms must not cost memory in the truncation
     pending = collections.defaultdict(lambda: acc)
     for ox, pairs in _by_order(f.terms.items(), order):
-        _add_products(m, ring, cap, pending, _seam_classes(pairs, right),
+        _add_products(m, cap, pending, _seam_classes(pairs, right),
                       [ys for og, ys in g_classes if ox + og <= cap])
-    terms = {w: c for w, c in acc.items() if c != ring.zero}
+    reduce, zero = ring.reduce, ring.zero
+    terms = {w: v for w, c in acc.items() if (v := reduce(c)) != zero}
     return Series(m, cap, terms, ring, _normalized=True)
 
 
@@ -393,12 +376,12 @@ def _convolve_pairs(m: ZeroMonoid, ring: Ring, cap: int, pairs: list) -> list:
     """The product of every pair (f, g) at truncation ``cap``, in one pass
     over the elements: each element's factorizations are listed once and
     summed against every pair before the next element is listed."""
-    radd, rmul, rzero = ring.add, ring.mul, ring.zero
+    reduce, zero = ring.reduce, ring.zero
     lookups = [(f.terms.get, g.terms.get, {}) for f, g in pairs]
     for x in itertools.chain.from_iterable(m.grades(cap)):
         splits = m._splits(x)
         for f_get, g_get, terms in lookups:
-            total = rzero
+            total = zero
             for y, z in splits:
                 a = f_get(y)
                 if a is None:
@@ -406,8 +389,9 @@ def _convolve_pairs(m: ZeroMonoid, ring: Ring, cap: int, pairs: list) -> list:
                 b = g_get(z)
                 if b is None:
                     continue
-                total = radd(total, rmul(a, b))
-            if total != rzero:
+                total += a * b
+            total = reduce(total)
+            if total != zero:
                 terms[x] = total
     return [Series(m, cap, terms, ring, _normalized=True)
             for _, _, terms in lookups]
@@ -454,9 +438,10 @@ def _solve_star(m: ZeroMonoid, cap: int, ring: Ring, buckets: list) -> Series:
     a grade strictly above i.  Grade 0 of s is the identity, and 1*y = y,
     so the pending grades, keyed by order, start as the buckets.  The
     lowest pending grade i is final, as every contribution to it has
-    arrived; its terms are multiplied against the terms of order at most
-    cap - i and each product is added into the grade where it lands.  A
-    product landing in a grade already taken raises :class:`AlgebraError`.
+    arrived, so it is reduced to canonical form; its terms are multiplied
+    against the terms of order at most cap - i and each product is added,
+    unreduced, into the grade where it lands.  A product landing in a
+    grade already taken raises :class:`AlgebraError`.
     The cost is about sum over i >= 1 of |s_i| * |f_{<=cap-i}| pairs,
     which is small when s is sparse, as Mobius series are.
 
@@ -465,7 +450,7 @@ def _solve_star(m: ZeroMonoid, cap: int, ring: Ring, buckets: list) -> Series:
     into the pending grades.
     """
     right, left = m._seam_keys or (None, None)
-    rzero = ring.zero
+    reduce, zero = ring.reduce, ring.zero
     f_classes = [(j, _seam_classes(pairs, left)) for j, pairs in buckets]
     pending = collections.defaultdict(
         dict, ((j, dict(pairs)) for j, pairs in buckets))
@@ -477,11 +462,12 @@ def _solve_star(m: ZeroMonoid, cap: int, ring: Ring, buckets: list) -> Series:
             raise AlgebraError(f"order of {m.describe()} is not superadditive:"
                                f" grade {done} has a product in grade {i}")
         done = i
-        grade = [(x, a) for x, a in pending.pop(i).items() if a != rzero]
+        grade = [(x, v) for x, a in pending.pop(i).items()
+                 if (v := reduce(a)) != zero]
         if not grade:
             continue
         terms.update(grade)
-        _add_products(m, ring, cap, pending, _seam_classes(grade, right),
+        _add_products(m, cap, pending, _seam_classes(grade, right),
                       [ys for j, ys in f_classes if i + j <= cap])
     return Series(m, cap, terms, ring, _normalized=True)
 
@@ -502,7 +488,7 @@ def mobius_series(m: ZeroMonoid, truncation: int,
     each element with coefficient -1, so no characteristic series is
     built and no element's order is asked.
     """
-    neg_one = ring.neg(ring.one)
+    neg_one = ring.from_int(-1)
     buckets = [(n, [(x, neg_one) for x in grade])
                for n, grade in enumerate(m.grades(truncation)) if n and grade]
     return _solve_star(m, truncation, ring, buckets)

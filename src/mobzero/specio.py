@@ -136,9 +136,11 @@ def parse_ideal(obj: dict, base: ZeroMonoid) -> IdealSpec:
         raw = _field(obj, "words", "generated ideal")
         if not isinstance(raw, list):
             raise SpecError(f"generator list must be a list, got {raw!r}")
-        words = [base.word_from_letters(_letters(entry, "a generator"))
-                 for entry in raw]
-        return GeneratedIdeal(base, words)
+        # spelled lazily, so that GeneratedIdeal checks the base's word
+        # kind before any letter is looked up
+        return GeneratedIdeal(
+            base, (base.word_from_letters(_letters(entry, "a generator"))
+                   for entry in raw))
     if kind == "degree-at-least":
         return DegreeAtLeastIdeal(base,
                                   _field(obj, "d", "degree-at-least ideal"))

@@ -62,7 +62,6 @@ from mobzero import (
     SpecError,
     ZERO,
     ZeroMonoid,
-    add,
     cauchy_product,
     characteristic_series,
     first_difference,
@@ -136,8 +135,8 @@ def mobius_by_triangular_solve(m, truncation, ring=INTEGERS):
                     continue
                 known = mu.get(y)
                 if known is not None:
-                    total = ring.add(total, known)
-            value = ring.neg(total)
+                    total += known
+            value = ring.reduce(-total)
             if value != ring.zero:
                 mu[x] = value
     return Series(m, truncation, mu, ring)
@@ -169,7 +168,9 @@ def cauchy_by_pairs(f, g):
                 z = m._mul(x, y)
                 if z is ZERO or m._order(z) > cap:
                     continue
-                acc[z] = ring.add(acc.get(z, ring.zero), ring.mul(a, b))
+                # reduced after every product, unlike cauchy_product,
+                # which reduces each output term once
+                acc[z] = ring.reduce(acc.get(z, ring.zero) + a * b)
     terms = {w: c for w, c in acc.items() if c != ring.zero}
     return Series(m, cap, terms, ring, _normalized=True)
 
@@ -207,7 +208,7 @@ def star_by_powers(f: Series):
         p = cauchy_product(p, f)
         if p.is_zero():
             break
-        total = add(total, p)
+        total = total + p
         count += 1
     return total, count
 

@@ -375,3 +375,24 @@ def test_generator_inside_the_inner_ideal_is_named_by_its_letters(capsys):
     assert run(capsys, "mobius", "--monoid", monoid) == (1, "", (
         "error: ['b', 'b'] is not an element of Rees quotient of free monoid "
         "on {a, b} by repeated-letter ideal\n"))
+
+
+COMM_AB = {"type": "free-commutative", "alphabet": ["a", "b"]}
+
+
+@pytest.mark.parametrize("base, words, described", [
+    (COMM_AB, [["a", "z"]], "free commutative monoid on {a, b}"),
+    ({"type": "rees", "base": COMM_AB,
+      "ideal": {"kind": "degree-at-least", "d": 2}}, [["a", "b"]],
+     "Rees quotient of free commutative monoid on {a, b} by "
+     "degree-at-least(2) ideal"),
+], ids=["unknown-letter", "inside-the-inner-ideal"])
+def test_generated_ideal_checks_the_word_kind_before_any_letter(
+        capsys, base, words, described):
+    # the base's words are letter multisets, so no generator is spelled:
+    # neither an unknown letter nor a word of the inner ideal is named
+    monoid = json.dumps({"type": "rees", "base": base,
+                         "ideal": {"kind": "generated", "words": words}})
+    assert run(capsys, "mobius", "--monoid", monoid) == (1, "", (
+        "error: generated ideal needs a monoid whose words are letter "
+        f"sequences, got {described}\n"))
