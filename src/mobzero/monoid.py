@@ -147,10 +147,14 @@ class ZeroMonoid(ABC):
     """A monoid with (possibly unreachable) zero, graded by its order function.
 
     The identity is the empty word and the order of a word is its length,
-    for every realization.  Subclasses provide the alphabet, membership
-    and the raw product on canonical words; the public
-    ``product``/``order``/``factorizations`` wrappers add membership checks
-    and raise :class:`MembershipError` on foreign words.
+    for every realization.  The grading contract: a nonzero product has
+    ord(xy) = ord(x) + ord(y).  The series kernels place each product in
+    the grade of its factors' order sum and never ask its order; the star
+    solver raises :class:`AlgebraError` on a word found in another grade.
+    Subclasses provide the alphabet, membership and the raw product on
+    canonical words; the public ``product``/``order``/``factorizations``
+    wrappers add membership checks and raise :class:`MembershipError` on
+    foreign words.
 
     ``_seam_keys`` is a pair of functions: a *right key* of a left factor
     and a *left key* of a right factor.  The contract: if x, x' are
@@ -185,8 +189,8 @@ class ZeroMonoid(ABC):
     def _mul(self, x: Word, y: Word) -> MonoidValue:
         """Product of two member words, without membership checks."""
 
-    # the number of letters; a C builtin, so the product and order loops
-    # call it with no Python frame
+    # the number of letters; a C builtin, so the loops that bucket terms
+    # by order call it with no Python frame
     _order = staticmethod(len)
 
     def describe(self) -> str:

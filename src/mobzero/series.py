@@ -295,50 +295,42 @@ def _seam_classes(terms: list, key) -> list:
     return list(classes.values())
 
 
-def _add_products(m: ZeroMonoid, cap: int, pending, x_classes: list,
-                  y_orders: list):
-    """Add a*b at xy into ``pending[ord(xy)]`` for every term (x, a) of
-    the classes ``x_classes`` and (y, b) of the class lists
-    ``y_orders``, dropping products of order above ``cap``.  The sums are
-    left unreduced: the caller reduces each term it keeps.
+def _add_products(m: ZeroMonoid, acc: dict, x_classes: list,
+                  y_classes: list):
+    """Add a*b at xy into ``acc`` for every term (x, a) of the classes
+    ``x_classes`` and (y, b) of ``y_classes``, the terms of one order
+    each, left unreduced: the caller picks ``acc`` by the order sum (see
+    :class:`ZeroMonoid`) and reduces each term it keeps.
 
-    The x terms are one order's seam classes by the right key, and each
-    entry of ``y_orders`` is one order's classes by the left key (see
-    ``ZeroMonoid._seam_keys``).  Each pair of classes is decided on one
-    representative pair: either every product of the two classes is
-    ZERO, and none is formed, or none is, and each is the root base's
-    product.  :func:`cauchy_product` and the star solver both call it.
+    The x terms are grouped by the right seam key and the y terms by the
+    left one (see ``ZeroMonoid._seam_keys``).  Each pair of classes is
+    decided on one representative pair: either every product of the two
+    classes is ZERO, and none is formed, or none is, and each is the
+    root base's product.  :func:`cauchy_product` and the star solver
+    both call it.
     """
     keys = m._seam_keys
-    mul, collapses, order = m._root_mul, m._mul, m._order
-    last = -1
+    mul, collapses = m._root_mul, m._mul
     for xs in x_classes:
-        for y_classes in y_orders:
-            for ys in y_classes:
-                if keys is not None and collapses(xs[0][0], ys[0][0]) is ZERO:
-                    continue
-                for x, a in xs:
-                    for y, b in ys:
-                        z = mul(x, y)
-                        oz = order(z)
-                        # consecutive products mostly share an order
-                        if oz != last:
-                            if oz > cap:
-                                continue
-                            last, acc = oz, pending[oz]
-                        prev = acc.get(z)
-                        acc[z] = a * b if prev is None else prev + a * b
+        for ys in y_classes:
+            if keys is not None and collapses(xs[0][0], ys[0][0]) is ZERO:
+                continue
+            for x, a in xs:
+                for y, b in ys:
+                    z = mul(x, y)
+                    prev = acc.get(z)
+                    acc[z] = a * b if prev is None else prev + a * b
 
 
 def cauchy_product(f: Series, g: Series) -> Series:
     """Convolution over all term pairs; products hitting zero are dropped.
 
-    Pairs whose factor orders already sum beyond the truncation cannot
-    contribute (the order of a product dominates the sum), so they are
-    pruned before multiplying.  The terms of each order are grouped by
-    the monoid's seam keys, f's by the right key and g's by the left
-    one, and :func:`_add_products` multiplies each order of f against
-    the orders of g it can meet, into one accumulator.
+    A nonzero product of terms of orders i and j has order i + j, so
+    only the order pairs with i + j at most the truncation are
+    multiplied.  The terms of each order are grouped by the monoid's
+    seam keys, f's by the right key and g's by the left one, and
+    :func:`_add_products` multiplies each such pair of orders into the
+    one accumulator.
     """
     _check_compatible(f, g)
     m = f.monoid
@@ -349,12 +341,12 @@ def cauchy_product(f: Series, g: Series) -> Series:
     g_classes = [(n, _seam_classes(pairs, left))
                  for n, pairs in _by_order(g.terms.items(), order)]
     acc = {}
-    # every order indexes the one accumulator, with no slot per order:
-    # a product of a few terms must not cost memory in the truncation
-    pending = collections.defaultdict(lambda: acc)
     for ox, pairs in _by_order(f.terms.items(), order):
-        _add_products(m, cap, pending, _seam_classes(pairs, right),
-                      [ys for og, ys in g_classes if ox + og <= cap])
+        x_classes = _seam_classes(pairs, right)
+        for og, ys in g_classes:
+            if ox + og > cap:
+                break
+            _add_products(m, acc, x_classes, ys)
     reduce, zero = ring.reduce, ring.zero
     terms = {w: v for w, c in acc.items() if (v := reduce(c)) != zero}
     return Series(m, cap, terms, ring, _normalized=True)
@@ -433,21 +425,19 @@ def _solve_star(m: ZeroMonoid, cap: int, ring: Ring, buckets: list) -> Series:
     pairs of ``buckets``, a list of (order, pairs) for the orders 1..cap
     that hold terms, in increasing order.
 
-    When the order is superadditive (ord(xy) >= ord(x) + ord(y)), every
-    product x*y with x in grade i of s and y of order at least 1 lands in
-    a grade strictly above i.  Grade 0 of s is the identity, and 1*y = y,
-    so the pending grades, keyed by order, start as the buckets.  The
-    lowest pending grade i is final, as every contribution to it has
-    arrived, so it is reduced to canonical form; its terms are multiplied
-    against the terms of order at most cap - i and each product is added,
-    unreduced, into the grade where it lands.  A product landing in a
-    grade already taken raises :class:`AlgebraError`.
-    The cost is about sum over i >= 1 of |s_i| * |f_{<=cap-i}| pairs,
-    which is small when s is sparse, as Mobius series are.
+    A nonzero product x*y with x in grade i of s and y of order j >= 1
+    has order i + j, so it is added into the pending grade i + j.  Grade
+    0 of s is the identity, and 1*y = y, so the pending grades, keyed by
+    order, start as the buckets.  The lowest pending grade i is final,
+    as every contribution to it has arrived, so it is reduced to
+    canonical form; a surviving word of another order than i breaks the
+    grading contract and raises :class:`AlgebraError`.  The cost is about
+    sum over i >= 1 of |s_i| * |f_{<=cap-i}| pairs, which is small when
+    s is sparse, as Mobius series are.
 
     Each grade of s is grouped by the right seam key and each bucket by
-    the left one, and :func:`_add_products` adds the grade's products
-    into the pending grades.
+    the left one, and :func:`_add_products` adds the products of the
+    grade and each bucket of order at most cap - i into their grade.
     """
     right, left = m._seam_keys or (None, None)
     reduce, zero = ring.reduce, ring.zero
@@ -455,20 +445,23 @@ def _solve_star(m: ZeroMonoid, cap: int, ring: Ring, buckets: list) -> Series:
     pending = collections.defaultdict(
         dict, ((j, dict(pairs)) for j, pairs in buckets))
     terms = {m.identity(): ring.one}
-    done = 0
     while pending:
         i = min(pending)
-        if i <= done:
-            raise AlgebraError(f"order of {m.describe()} is not superadditive:"
-                               f" grade {done} has a product in grade {i}")
-        done = i
         grade = [(x, v) for x, a in pending.pop(i).items()
                  if (v := reduce(a)) != zero]
         if not grade:
             continue
+        for x, _ in grade:
+            if m._order(x) != i:
+                raise AlgebraError(
+                    f"order of {m.describe()} is not additive: a product "
+                    f"of orders summing to {i} is {m.render_word(x)}")
         terms.update(grade)
-        _add_products(m, cap, pending, _seam_classes(grade, right),
-                      [ys for j, ys in f_classes if i + j <= cap])
+        x_classes = _seam_classes(grade, right)
+        for j, ys in f_classes:
+            if i + j > cap:
+                break
+            _add_products(m, pending[i + j], x_classes, ys)
     return Series(m, cap, terms, ring, _normalized=True)
 
 

@@ -485,13 +485,35 @@ class IdempotentMonoid(ZeroMonoid):
         return [(0,)] if word == () else []
 
 
+class InsertingMonoid(ZeroMonoid):
+    """Words over one letter where a product of two non-identity words
+    inserts a letter between them: associative, with the empty word as
+    identity, but ord(xy) = ord(x) + ord(y) + 1, strictly above the sum
+    the grading contract asks for."""
+
+    word_kind = "sequence"
+
+    def alphabet(self):
+        return alphabet(1)
+
+    def contains(self, word):
+        return isinstance(word, tuple) and set(word) <= {0}
+
+    def _mul(self, x, y):
+        return x + (0,) + y if (x and y) else x + y
+
+    def extend(self, word):
+        return [word + (0,)]
+
+
 def validate_locally_finite(m: ZeroMonoid, max_order: int) -> Report:
     """Sample-bounded check that m behaves like a locally finite monoid.
 
     Scans all elements of order at most max_order and reports every
-    non-identity idempotent, every nonzero product whose order drops below
-    the sum of the factor orders, and every product that returns one of its
-    own non-trivial factors (which forces unboundedly many factorizations).
+    non-identity idempotent, every nonzero product whose order is not the
+    sum of the factor orders (the grading contract of ``ZeroMonoid``),
+    above or below, and every product that returns one of its own
+    non-trivial factors (which forces unboundedly many factorizations).
     An empty report means no violation was found below the bound; it is not
     a proof for infinite realizations.
     """
@@ -514,10 +536,10 @@ def validate_locally_finite(m: ZeroMonoid, max_order: int) -> Report:
                     z = m._mul(x, y)
                     if z is ZERO:
                         continue
-                    if m._order(z) < i + j:
+                    if m._order(z) != i + j:
                         violations.append(
                             f"order of {m.render_word(x)}*{m.render_word(y)} "
-                            f"is {m._order(z)} < {i} + {j}")
+                            f"is {m._order(z)}, not {i} + {j}")
                     if x != y:
                         if x != one and z == y:
                             violations.append(

@@ -20,9 +20,9 @@ from mobzero import (
 )
 
 from helpers import (
-    IdempotentMonoid, add_vectors, alphabet, builtin_monoids, commutative,
-    commutative_image, elements_by_filter, free, standard_words,
-    validate_locally_finite, vector_word)
+    IdempotentMonoid, InsertingMonoid, add_vectors, alphabet, builtin_monoids,
+    commutative, commutative_image, elements_by_filter, free, residue_monoids,
+    standard_words, validate_locally_finite, vector_word)
 
 
 def words(m, texts):
@@ -404,9 +404,18 @@ def test_render_identity_and_words():
 # -- local finiteness checker -----------------------------------------------
 
 def test_builtins_validate_locally_finite():
-    for m in (free(2), commutative(2), standard_words()):
+    monoids = [free(2), commutative(2), standard_words()]
+    for k in (1, 2, 3):
+        for seed in range(3):
+            monoids += residue_monoids(k, seed)
+    for m in monoids:
         report = validate_locally_finite(m, 4)
-        assert report.passed, report.counterexample
+        assert report.passed, (m.describe(), report.counterexample)
+
+
+def test_validator_reports_an_order_above_the_sum():
+    report = validate_locally_finite(InsertingMonoid(), 2)
+    assert "order of a*a is 3, not 1 + 1" in report.violations
 
 
 def test_validator_reports_idempotent():

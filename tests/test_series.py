@@ -43,6 +43,7 @@ import mobzero.series as series_module
 
 from helpers import (
     IdempotentMonoid,
+    InsertingMonoid,
     alphabet,
     builtin_free_ideals,
     builtin_monoids,
@@ -461,9 +462,10 @@ def test_star_requires_proper():
 
 
 def test_star_multiplies_only_grades_that_hold_terms(monkeypatch):
-    # s = 1 + a^1001 has one grade above the identity; a solver that
+    # s = 1 + a^1000 + a^2000 has two grades above the identity, and only
+    # grade 1000 meets an order of f within the truncation; a solver that
     # visited every grade up to the truncation would call the product
-    # kernel 2000 times
+    # kernel up to 1000 times
     calls = []
     kernel = series_module._add_products
 
@@ -473,17 +475,27 @@ def test_star_multiplies_only_grades_that_hold_terms(monkeypatch):
 
     monkeypatch.setattr(series_module, "_add_products", counted)
     m = free(2)
-    f = Series(m, 2000, {(0,) * 1001: 1})
-    assert star(f) == Series.one(m, 2000) + f
+    f = Series(m, 2000, {(0,) * 1000: 1})
+    assert star(f) == Series(m, 2000, {(): 1, (0,) * 1000: 1,
+                                       (0,) * 2000: 1})
     assert len(calls) == 1
 
 
 def test_star_refuses_an_order_that_is_not_superadditive():
-    # a*a = a lands in grade 1, which is already final when its products
-    # are formed; the solver must fail rather than drop the contribution
+    # a*a = a is placed in grade 2 but has order 1; the solver must fail
+    # rather than keep a word in the wrong grade
     m = IdempotentMonoid()
-    with pytest.raises(AlgebraError, match="not superadditive"):
+    with pytest.raises(AlgebraError, match="not additive"):
         star(Series(m, 2, {(0,): 1}))
+
+
+def test_star_refuses_a_strictly_superadditive_order():
+    # a*a = aaa is placed in grade 2 but has order 3, within the
+    # truncation; the solver must fail rather than return a series whose
+    # grades disagree with the orders of their words
+    m = InsertingMonoid()
+    with pytest.raises(AlgebraError, match="not additive"):
+        star(Series(m, 3, {(0,): 1}))
 
 
 def test_star_inverts_one_minus_f():
