@@ -13,9 +13,9 @@ of orders.  Properness is checked when a quotient is built.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections.abc import Iterable
 from functools import reduce
 from operator import getitem, itemgetter
-from typing import Iterable
 
 from .errors import SpecError
 from .monoid import FreeCommutativeMonoid, Word, ZeroMonoid

@@ -26,11 +26,11 @@ a zero adjoined: a zero no product reaches changes no contracted algebra.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import operator
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from collections.abc import Iterable, Sequence
 
 from .errors import InfiniteGradeError, MembershipError, SpecError
 
@@ -52,8 +52,6 @@ class Zero:
 
 
 ZERO = Zero()
-
-MonoidValue = Union[Zero, Word]
 
 
 class Alphabet:
@@ -104,13 +102,17 @@ class Alphabet:
         return f"Alphabet({list(self.letters)})"
 
 
-@dataclass(frozen=True)
-class Report:
-    """Outcome of a verification run: named check, violations, side notes."""
+class Report(collections.namedtuple("Report", "check violations notes",
+                                     defaults=((), ()))):
+    """Outcome of a verification run: named check, violations, side notes.
 
-    check: str
-    violations: tuple = ()
-    notes: tuple = ()
+    An immutable named tuple, so reports compare and hash by their
+    fields.  Unlike a dataclass, a named tuple imports no source
+    introspection (``inspect``, ``ast``, ``dis``, ``tokenize``), which
+    every CLI process would pay for at start-up.
+    """
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -186,7 +188,7 @@ class ZeroMonoid(ABC):
         ...
 
     @abstractmethod
-    def _mul(self, x: Word, y: Word) -> MonoidValue:
+    def _mul(self, x: Word, y: Word) -> Zero | Word:
         """Product of two member words, without membership checks."""
 
     # the number of letters; a C builtin, so the loops that bucket terms
@@ -201,7 +203,7 @@ class ZeroMonoid(ABC):
             raise MembershipError(
                 f"{word!r} is not an element of {self.describe()}")
 
-    def product(self, x: Word, y: Word) -> MonoidValue:
+    def product(self, x: Word, y: Word) -> Zero | Word:
         """xy, or ``ZERO`` when the product is the absorbing element."""
         self._require(x)
         self._require(y)

@@ -20,7 +20,6 @@ import collections
 import itertools
 import operator
 from fractions import Fraction
-from typing import Optional
 
 from .errors import (AlgebraError, MonoidMismatchError, ProperError,
                      TruncationError)
@@ -366,27 +365,34 @@ def convolve_oracle(f: Series, g: Series) -> Series:
 
 def _convolve_pairs(m: ZeroMonoid, ring: Ring, cap: int, pairs: list) -> list:
     """The product of every pair (f, g) at truncation ``cap``, in one pass
-    over the elements: each element's factorizations are listed once and
-    summed against every pair before the next element is listed."""
+    over the elements: each element's factorizations are listed once.
+
+    One index maps each word of a left operand to the (pair, coefficient,
+    g lookup) entries of the pairs whose f holds it, so a split (y, z) is
+    summed only against the pairs whose f holds y; a pair's total for an
+    element is written to its result once every split has been visited,
+    so each result lists its elements in enumeration order.
+    """
     reduce, zero = ring.reduce, ring.zero
-    lookups = [(f.terms.get, g.terms.get, {}) for f, g in pairs]
+    results = [{} for _ in pairs]
+    by_left = {}
+    for k, (f, g) in enumerate(pairs):
+        g_get = g.terms.get
+        for y, a in f.terms.items():
+            by_left.setdefault(y, []).append((k, a, g_get))
     for x in itertools.chain.from_iterable(m.grades(cap)):
-        splits = m._splits(x)
-        for f_get, g_get, terms in lookups:
-            total = zero
-            for y, z in splits:
-                a = f_get(y)
-                if a is None:
-                    continue
+        totals = {}
+        for y, z in m._splits(x):
+            for k, a, g_get in by_left.get(y, ()):
                 b = g_get(z)
-                if b is None:
-                    continue
-                total += a * b
+                if b is not None:
+                    totals[k] = totals.get(k, zero) + a * b
+        for k, total in totals.items():
             total = reduce(total)
             if total != zero:
-                terms[x] = total
+                results[k][x] = total
     return [Series(m, cap, terms, ring, _normalized=True)
-            for _, _, terms in lookups]
+            for terms in results]
 
 
 def power(f: Series, k: int) -> Series:
@@ -509,7 +515,7 @@ def mobius_invert_right(g: Series) -> Series:
     return cauchy_product(g, mu)
 
 
-def first_difference(f: Series, g: Series) -> Optional[str]:
+def first_difference(f: Series, g: Series) -> str | None:
     """Rendered description of the first term where two series differ."""
     _check_compatible(f, g)
     m = f.monoid
@@ -535,6 +541,13 @@ def random_series(rng, m: ZeroMonoid, truncation: int,
     """
     grades = m.grades(min(max_support_order, truncation))
     pool = [x for grade in grades[1 if proper else 0:] for x in grade]
+    return _draw_series(rng, m, truncation, pool, ring)
+
+
+def _draw_series(rng, m: ZeroMonoid, truncation: int, pool: list,
+                 ring: Ring = INTEGERS) -> Series:
+    """The draw of :func:`random_series` from a support pool listed by
+    the caller, so that many draws can share one enumeration."""
     if not pool:
         return Series.zero(m, truncation, ring)
     size = rng.randint(1, min(8, len(pool)))
@@ -566,13 +579,16 @@ def check_unit_inverse(m: ZeroMonoid, truncation: int) -> Report:
 
 def check_oracle_equivalence(m: ZeroMonoid, truncation: int) -> Report:
     """Compare the pair-loop product against the factorization-based one
-    on 20 random series pairs drawn from seed 0; the factorizations of
-    each element are listed once and shared by every pair."""
+    on 20 random series pairs drawn from seed 0, as :func:`random_series`
+    draws them, from one pool of the elements of order at most 3; the
+    factorizations of each element are listed once and shared by every
+    pair."""
     import random
 
     rng = random.Random(0)
-    pairs = [(random_series(rng, m, truncation),
-              random_series(rng, m, truncation))
+    pool = [x for grade in m.grades(min(3, truncation)) for x in grade]
+    pairs = [(_draw_series(rng, m, truncation, pool),
+              _draw_series(rng, m, truncation, pool))
              for _ in range(20)]
     slows = _convolve_pairs(m, INTEGERS, truncation, pairs)
     violations = []

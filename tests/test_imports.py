@@ -1,10 +1,15 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and the
+CLI starts without the standard library's introspection modules.
 
 The package's ``__init__.py`` imports names to export them, so it is
 left out; every other module of ``src/mobzero`` is scanned with ``ast``.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,3 +44,27 @@ def test_the_scan_finds_an_unused_import():
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert unused_imports(tree) == []
+
+
+# code generation and source introspection: a dataclass pulls in all but
+# typing, and each CLI process would pay for them before its request
+HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing")
+
+LOADED_BY_CLI = """
+import json, sys
+before = set(sys.modules)
+import mobzero.cli
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_the_cli_imports_no_introspection_module():
+    # a fresh interpreter, compared with what it had loaded before the
+    # import, so a site that preloads one of them neither hides nor
+    # trips the check
+    env = dict(os.environ, PYTHONPATH=str(SOURCE.parent))
+    out = subprocess.run([sys.executable, "-c", LOADED_BY_CLI], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    loaded = json.loads(out)
+    assert "mobzero.cli" in loaded
+    assert [name for name in HEAVY if name in loaded] == []

@@ -12,6 +12,7 @@ from mobzero import (
     InfiniteGradeError,
     MembershipError,
     ReesQuotient,
+    Report,
     RepeatedLetterIdeal,
     SpecError,
     ZERO,
@@ -459,3 +460,28 @@ def test_report_formatting():
     assert str(bad).startswith("FAIL locally-finite:")
     assert bad.to_json()["pass"] is False
     assert "counterexample" in bad.to_json()
+
+
+def test_reports_with_equal_fields_are_equal_and_hash_equal():
+    a = Report("unit-inverse", ("mobius*zeta != 1",), ("note",))
+    b = Report("unit-inverse", ("mobius*zeta != 1",), ("note",))
+    assert a == b and hash(a) == hash(b)
+    assert a != Report("unit-inverse", ("mobius*zeta != 1",))
+    assert Report("x") == Report("x", (), ())
+
+
+def test_report_fields_cannot_be_assigned():
+    report = Report("unit-inverse", ("bad",))
+    for field in ("check", "violations", "notes", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(report, field, ())
+    assert report.violations == ("bad",)
+
+
+def test_report_repr_and_counterexample():
+    report = Report("mobius-transfer", ("at a: 1 != 2",), ("n",))
+    assert repr(report) == ("Report(check='mobius-transfer', "
+                            "violations=('at a: 1 != 2',), notes=('n',))")
+    assert repr(Report("x")) == "Report(check='x', violations=(), notes=())"
+    assert report.counterexample == "at a: 1 != 2"
+    assert Report("x").counterexample is None

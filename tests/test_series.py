@@ -388,6 +388,25 @@ def test_oracle_equivalence_randomized():
             assert cauchy_product(f, g) == convolve_oracle(f, g)
 
 
+def test_convolve_pairs_gives_each_pair_its_own_product():
+    # one index of left-operand words serves every pair, so pairs whose
+    # supports share no word, and pairs with a zero side, must each still
+    # get exactly their own product
+    m = free(3)
+    zero = Series.zero(m, 5)
+    pairs = [
+        (S(m, 5, [(1, "a"), (2, "ab")]), S(m, 5, [(1, "b"), (-1, "")])),
+        (zero, S(m, 5, [(4, "a"), (1, "cc")])),
+        (S(m, 5, [(3, "c"), (1, "")]), zero),
+        (S(m, 5, [(2, "c"), (-1, "bc")]), S(m, 5, [(1, "a"), (5, "ca")])),
+        (S(m, 5, [(1, "a"), (1, "")]), S(m, 5, [(-1, "a"), (1, "")])),
+    ]
+    products = series_module._convolve_pairs(m, INTEGERS, 5, pairs)
+    assert products == [cauchy_product(f, g) for f, g in pairs]
+    assert products[1] == zero and products[2] == zero
+    assert products[4] == S(m, 5, [(1, ""), (-1, "aa")])
+
+
 def test_check_oracle_equivalence_report():
     report = check_oracle_equivalence(standard_words(), 6)
     assert report.passed
