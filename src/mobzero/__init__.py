@@ -16,7 +16,6 @@ from .errors import (
     MonoidMismatchError,
     ProperError,
     SpecError,
-    TruncationError,
 )
 from .monoid import (
     Alphabet,
@@ -52,11 +51,7 @@ from .series import (
     mobius_invert_left,
     mobius_invert_right,
     mobius_series,
-    power,
-    random_series,
     star,
-    zeta_transform_left,
-    zeta_transform_right,
 )
 from .quotient_maps import (
     check_mobius_transfer,

@@ -18,11 +18,6 @@ class InfiniteGradeError(AlgebraError):
     """The monoid cannot enumerate its elements of a given order."""
 
 
-class TruncationError(AlgebraError):
-    """A coefficient beyond the truncation order was requested; it is not
-    determined by the stored data."""
-
-
 class MonoidMismatchError(AlgebraError):
     """Two series over different monoids (or different rings) were combined,
     or a map between a base and its Rees quotient was given a series over

@@ -89,9 +89,6 @@ class Alphabet:
     def __iter__(self):
         return iter(self.letters)
 
-    def __getitem__(self, i: int) -> str:
-        return self.letters[i]
-
     def __eq__(self, other):
         return isinstance(other, Alphabet) and self.letters == other.letters
 
@@ -154,9 +151,7 @@ class ZeroMonoid(ABC):
     the grade of its factors' order sum and never ask its order; the star
     solver raises :class:`AlgebraError` on a word found in another grade.
     Subclasses provide the alphabet, membership and the raw product on
-    canonical words; the public ``product``/``order``/``factorizations``
-    wrappers add membership checks and raise :class:`MembershipError` on
-    foreign words.
+    canonical words.
 
     ``_seam_keys`` is a pair of functions: a *right key* of a left factor
     and a *left key* of a right factor.  The contract: if x, x' are
@@ -197,22 +192,6 @@ class ZeroMonoid(ABC):
 
     def describe(self) -> str:
         return repr(self)
-
-    def _require(self, word: Word):
-        if not self.contains(word):
-            raise MembershipError(
-                f"{word!r} is not an element of {self.describe()}")
-
-    def product(self, x: Word, y: Word) -> Zero | Word:
-        """xy, or ``ZERO`` when the product is the absorbing element."""
-        self._require(x)
-        self._require(y)
-        return self._mul(x, y)
-
-    def order(self, word: Word) -> int:
-        """Largest n such that the word splits into n non-identity factors."""
-        self._require(word)
-        return self._order(word)
 
     def extend(self, word: Word) -> list:
         """The elements one order above ``word`` that are reached from it,
@@ -268,13 +247,6 @@ class ZeroMonoid(ABC):
     def _splits(self, x: Word) -> list:
         raise InfiniteGradeError(
             f"{self.describe()} cannot enumerate factorizations")
-
-    def factorizations(self, x: Word) -> list:
-        """All pairs (y, z) with yz = x, sorted by the left factor."""
-        self._require(x)
-        pairs = list(self._splits(x))
-        pairs.sort(key=lambda p: (self._order(p[0]), p[0]))
-        return pairs
 
     def word_letters(self, word: Word) -> list:
         """Word as a list of letter names, in display order."""

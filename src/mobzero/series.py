@@ -21,9 +21,9 @@ import itertools
 import operator
 from fractions import Fraction
 
-from .errors import (AlgebraError, MonoidMismatchError, ProperError,
-                     TruncationError)
-from .monoid import Report, Word, ZERO, ZeroMonoid
+from .errors import (AlgebraError, MembershipError, MonoidMismatchError,
+                     ProperError)
+from .monoid import Report, ZERO, ZeroMonoid
 
 
 class Ring:
@@ -119,7 +119,9 @@ class Series:
             return
         clean = {}
         for word, coeff in dict(terms or {}).items():
-            monoid._require(word)
+            if not monoid.contains(word):
+                raise MembershipError(
+                    f"{word!r} is not an element of {monoid.describe()}")
             coeff = ring.coerce(coeff, "coefficient")
             if coeff == ring.zero:
                 continue
@@ -141,38 +143,13 @@ class Series:
 
     # -- queries -----------------------------------------------------------
 
-    def coefficient(self, word: Word):
-        """Coefficient at a word; only determined up to the truncation."""
-        self.monoid._require(word)
-        if self.monoid._order(word) > self.truncation:
-            raise TruncationError(
-                f"coefficient at order {self.monoid._order(word)} is not "
-                f"determined by a series truncated at {self.truncation}")
-        return self.terms.get(word, self.ring.zero)
-
     def augmentation(self):
         """Coefficient at the identity."""
         return self.terms.get(self.monoid.identity(), self.ring.zero)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def items_sorted(self) -> list:
         order = self.monoid._order
         return sorted(self.terms.items(), key=lambda kv: (order(kv[0]), kv[0]))
-
-    def truncated(self, truncation: int) -> "Series":
-        """Project to a lower truncation order."""
-        if truncation > self.truncation:
-            raise TruncationError(
-                f"cannot extend a series truncated at {self.truncation} "
-                f"to order {truncation}")
-        if truncation == self.truncation:
-            return self
-        m = self.monoid
-        terms = {w: c for w, c in self.terms.items()
-                 if m._order(w) <= truncation}
-        return Series(m, truncation, terms, self.ring, _normalized=True)
 
     # -- rendering ---------------------------------------------------------
 
@@ -395,18 +372,6 @@ def _convolve_pairs(m: ZeroMonoid, ring: Ring, cap: int, pairs: list) -> list:
             for terms in results]
 
 
-def power(f: Series, k: int) -> Series:
-    """k-th Cauchy power; the zeroth power is the unit series."""
-    if k < 0:
-        raise ValueError(f"exponent must be nonnegative, got {k}")
-    result = Series.one(f.monoid, f.truncation, f.ring)
-    for _ in range(k):
-        result = cauchy_product(result, f)
-        if result.is_zero():
-            break
-    return result
-
-
 def _require_proper(f: Series):
     if f.augmentation() != f.ring.zero:
         raise ProperError(
@@ -493,17 +458,6 @@ def mobius_series(m: ZeroMonoid, truncation: int,
     return _solve_star(m, truncation, ring, buckets)
 
 
-def zeta_transform_left(f: Series) -> Series:
-    """Multiply by the characteristic series on the left."""
-    zeta = characteristic_series(f.monoid, f.truncation, f.ring)
-    return cauchy_product(zeta, f)
-
-
-def zeta_transform_right(f: Series) -> Series:
-    zeta = characteristic_series(f.monoid, f.truncation, f.ring)
-    return cauchy_product(f, zeta)
-
-
 def mobius_invert_left(g: Series) -> Series:
     """Undo a left zeta transform by multiplying with the Mobius series."""
     mu = mobius_series(g.monoid, g.truncation, g.ring)
@@ -529,25 +483,13 @@ def first_difference(f: Series, g: Series) -> str | None:
     return None
 
 
-def random_series(rng, m: ZeroMonoid, truncation: int,
-                  max_support_order: int = 3, proper: bool = False,
-                  ring: Ring = INTEGERS) -> Series:
-    """Deterministic random series driven by a seeded ``random.Random``.
-
-    Support is drawn from the elements of order at most max_support_order
-    (order at least 1 when proper); coefficients are uniform integers in
-    [-3, 3], coerced into the ring.  Draws that are zero in the ring are
-    dropped.
-    """
-    grades = m.grades(min(max_support_order, truncation))
-    pool = [x for grade in grades[1 if proper else 0:] for x in grade]
-    return _draw_series(rng, m, truncation, pool, ring)
-
-
 def _draw_series(rng, m: ZeroMonoid, truncation: int, pool: list,
                  ring: Ring = INTEGERS) -> Series:
-    """The draw of :func:`random_series` from a support pool listed by
-    the caller, so that many draws can share one enumeration."""
+    """Deterministic random series drawn by a seeded ``random.Random``
+    from a support pool listed by the caller, so that many draws can
+    share one enumeration: at most 8 words of the pool, each with a
+    uniform integer in [-3, 3], coerced into the ring.  Draws that are
+    zero in the ring are dropped."""
     if not pool:
         return Series.zero(m, truncation, ring)
     size = rng.randint(1, min(8, len(pool)))
@@ -579,10 +521,9 @@ def check_unit_inverse(m: ZeroMonoid, truncation: int) -> Report:
 
 def check_oracle_equivalence(m: ZeroMonoid, truncation: int) -> Report:
     """Compare the pair-loop product against the factorization-based one
-    on 20 random series pairs drawn from seed 0, as :func:`random_series`
-    draws them, from one pool of the elements of order at most 3; the
-    factorizations of each element are listed once and shared by every
-    pair."""
+    on 20 random series pairs drawn by :func:`_draw_series` from seed 0,
+    from one pool of the elements of order at most 3; the factorizations
+    of each element are listed once and shared by every pair."""
     import random
 
     rng = random.Random(0)

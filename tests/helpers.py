@@ -37,6 +37,10 @@ The vector route keeps the exponent-vector arithmetic of the free
 commutative monoid, whose words are sorted letter tuples: a word's
 letter counts, their componentwise sum, and a vector expanded back into
 sorted letter indices.
+
+Three tools live here because only tests call them: ``power``, the
+checked and sorted ``factorizations`` of an element, and
+``random_series``, which draws as ``check_oracle_equivalence`` does.
 """
 
 import itertools
@@ -52,12 +56,14 @@ from mobzero import (
     GeneratedIdeal,
     INTEGERS,
     IdealSpec,
+    MembershipError,
     MinLengthIdeal,
     MonoidMismatchError,
     ProperError,
     ReesQuotient,
     RepeatedLetterIdeal,
     Report,
+    Ring,
     Series,
     SpecError,
     ZERO,
@@ -69,7 +75,7 @@ from mobzero import (
     section,
     star,
 )
-from mobzero.series import _require_proper
+from mobzero.series import _draw_series, _require_proper
 from mobzero.specio import _field, _is_integer, _letters, _parse_coefficient
 
 LETTERS = ("a", "b", "c", "d")
@@ -130,7 +136,7 @@ def mobius_by_triangular_solve(m, truncation, ring=INTEGERS):
     for n in range(1, truncation + 1):
         for x in elements_by_filter(m, n):
             total = ring.zero
-            for y, z in m.factorizations(x):
+            for y, z in factorizations(m, x):
                 if z == identity:
                     continue
                 known = mu.get(y)
@@ -140,6 +146,44 @@ def mobius_by_triangular_solve(m, truncation, ring=INTEGERS):
             if value != ring.zero:
                 mu[x] = value
     return Series(m, truncation, mu, ring)
+
+
+def factorizations(m: ZeroMonoid, x: tuple) -> list:
+    """All pairs (y, z) with yz = x in m, sorted by the left factor; a
+    word outside m raises :class:`MembershipError`."""
+    if not m.contains(x):
+        raise MembershipError(f"{x!r} is not an element of {m.describe()}")
+    pairs = list(m._splits(x))
+    pairs.sort(key=lambda p: (m._order(p[0]), p[0]))
+    return pairs
+
+
+def power(f: Series, k: int) -> Series:
+    """k-th Cauchy power; the zeroth power is the unit series."""
+    if k < 0:
+        raise ValueError(f"exponent must be nonnegative, got {k}")
+    result = Series.one(f.monoid, f.truncation, f.ring)
+    for _ in range(k):
+        result = cauchy_product(result, f)
+        if not result.terms:
+            break
+    return result
+
+
+def random_series(rng, m: ZeroMonoid, truncation: int,
+                  max_support_order: int = 3, proper: bool = False,
+                  ring: Ring = INTEGERS) -> Series:
+    """Deterministic random series driven by a seeded ``random.Random``.
+
+    Support is drawn from the elements of order at most max_support_order
+    (order at least 1 when proper); coefficients are uniform integers in
+    [-3, 3], coerced into the ring.  Draws that are zero in the ring are
+    dropped.  The draw is the library's ``_draw_series``, which
+    ``check_oracle_equivalence`` makes too.
+    """
+    grades = m.grades(min(max_support_order, truncation))
+    pool = [x for grade in grades[1 if proper else 0:] for x in grade]
+    return _draw_series(rng, m, truncation, pool, ring)
 
 
 def mobius_by_star(m, truncation, ring=INTEGERS):
@@ -206,7 +250,7 @@ def star_by_powers(f: Series):
     count = 1
     for _ in range(f.truncation):
         p = cauchy_product(p, f)
-        if p.is_zero():
+        if not p.terms:
             break
         total = total + p
         count += 1
@@ -302,7 +346,7 @@ def counts_by_filter(m, top):
 def factorizations_by_filter(quotient, x):
     """The base factorizations of x whose two factors both lie outside
     the quotient's ideal, in the order of ``factorizations``."""
-    return [(y, z) for y, z in quotient.base.factorizations(x)
+    return [(y, z) for y, z in factorizations(quotient.base, x)
             if quotient.contains(y) and quotient.contains(z)]
 
 

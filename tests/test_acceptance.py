@@ -23,12 +23,8 @@ from mobzero import (
     mobius_invert_right,
     mobius_series,
     phi,
-    power,
-    random_series,
     section,
     star,
-    zeta_transform_left,
-    zeta_transform_right,
 )
 
 from helpers import (
@@ -37,6 +33,8 @@ from helpers import (
     commutative,
     falling_factorial,
     free,
+    power,
+    random_series,
     series_from_letterlists,
     standard_words,
     star_by_powers,
@@ -78,9 +76,9 @@ def test_02_finite_case_nilpotency():
     failures = []
     m = standard_words()
     zplus = characteristic_series(m, 8) - Series.one(m, 8)
-    if not power(zplus, 4).is_zero():
+    if power(zplus, 4).terms:
         failures.append("fourth power does not vanish")
-    if power(zplus, 3).is_zero():
+    if not power(zplus, 3).terms:
         failures.append("third power vanishes too early")
     result, count = star_by_powers(-zplus)
     if count != 4:
@@ -248,13 +246,14 @@ def test_09_inversion_roundtrip():
     rng = random.Random(99)
     for k in ALPHABET_SIZES:
         for m in builtin_monoids(k):
+            zeta = characteristic_series(m, 6)
             for i in range(10):
                 f = random_series(rng, m, 6)
-                if mobius_invert_left(zeta_transform_left(f)) != f:
+                if mobius_invert_left(cauchy_product(zeta, f)) != f:
                     failures.append(
                         f"left roundtrip over {m.describe()} sample {i}")
                     break
-                if mobius_invert_right(zeta_transform_right(f)) != f:
+                if mobius_invert_right(cauchy_product(f, zeta)) != f:
                     failures.append(
                         f"right roundtrip over {m.describe()} sample {i}")
                     break
@@ -289,7 +288,7 @@ def test_10_morphism_laws():
     a_q = series_from_letterlists(q, 6, [(1, "a")])
     lifted_product = cauchy_product(section(q, a_q), section(q, a_q))
     collapsed = section(q, cauchy_product(a_q, a_q))
-    if not collapsed.is_zero():
+    if collapsed.terms:
         failures.append("witness broke: a*a survived the quotient")
     if lifted_product.render() != "aa":
         failures.append("witness broke: lifted product is not aa")

@@ -16,7 +16,6 @@ from mobzero import (
     check_hilbert_relation,
     hilbert_prefix,
     poly_text,
-    random_series,
     section,
 )
 
@@ -28,6 +27,7 @@ from helpers import (
     falling_factorial,
     free,
     counts_by_filter,
+    random_series,
     standard_words,
 )
 

@@ -1,20 +1,24 @@
-"""Every name a library module imports is used in that module, and the
-CLI starts without the standard library's introspection modules.
+"""Every name a library module imports is used in that module, every
+name the package exports has a reader outside the tests, and the CLI
+starts without the standard library's introspection modules.
 
 The package's ``__init__.py`` imports names to export them, so it is
-left out; every other module of ``src/mobzero`` is scanned with ``ast``.
+left out of the unused-import scan; every other module of
+``src/mobzero`` is scanned with ``ast``.
 """
 
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SOURCE = Path(__file__).resolve().parents[1] / "src" / "mobzero"
+ROOT = Path(__file__).resolve().parents[1]
+SOURCE = ROOT / "src" / "mobzero"
 MODULES = sorted(p for p in SOURCE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -44,6 +48,47 @@ def test_the_scan_finds_an_unused_import():
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert unused_imports(tree) == []
+
+
+# exports whose first production reader is an open ROADMAP item
+AWAITING_A_READER = {
+    "RATIONALS": "item 4, the --ring option",
+    "IntegerModRing": "item 4, the --ring option",
+    "section": "item 7, the product-transfer check in verify",
+}
+
+
+def exported_names() -> list:
+    """The names the package's ``__init__.py`` imports."""
+    tree = ast.parse((SOURCE / "__init__.py").read_text(encoding="utf-8"))
+    return sorted(alias.asname or alias.name for node in tree.body
+                  if isinstance(node, ast.ImportFrom) for alias in node.names)
+
+
+def names_read(path: Path) -> set:
+    """The names and attribute names a file loads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Load)):
+            read.add(node.attr)
+    return read
+
+
+def test_every_export_has_a_reader_outside_the_tests():
+    # a reader is another library module, a benchmark script or a CI step;
+    # a definition, an assignment or an import is not a read
+    bench = [p for p in sorted((ROOT / "bench").glob("*.py"))
+             if not p.name.startswith("test_")]
+    read = set().union(*map(names_read, MODULES + bench))
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(
+        encoding="utf-8")
+    unread = [name for name in exported_names() if name not in read
+              and not re.search(rf"\b{re.escape(name)}\b", workflow)]
+    assert unread == sorted(AWAITING_A_READER)
 
 
 # code generation and source introspection: a dataclass pulls in all but

@@ -17,14 +17,13 @@ from mobzero import (
     check_mobius_transfer,
     mobius_series,
     phi,
-    random_series,
     section,
 )
 
 from helpers import (
     add_vectors, check_lemma_inverse_via_section, commutative,
-    commutative_image, free, series_from_letterlists, standard_words,
-    vector_word)
+    commutative_image, free, random_series, series_from_letterlists,
+    standard_words, vector_word)
 
 
 def w(m, text):
@@ -71,7 +70,7 @@ def test_phi_drops_ideal_terms():
 
 def test_phi_kills_ideal_indicator():
     q = standard_words()
-    assert phi(q, ideal_indicator(q, 5)).is_zero()
+    assert not phi(q, ideal_indicator(q, 5)).terms
 
 
 def test_phi_kernel_is_ideal_support():
@@ -80,7 +79,7 @@ def test_phi_kernel_is_ideal_support():
     for _ in range(30):
         f = random_series(rng, q.base, 5)
         image = phi(q, f)
-        killed = image.is_zero()
+        killed = not image.terms
         supported_on_ideal = all(
             q.ideal.contains(word) for word in f.terms)
         assert killed == supported_on_ideal
@@ -151,7 +150,7 @@ def test_section_not_multiplicative_witness():
     a_q = S(q, 4, [(1, "a")])
     product_then_lift = section(q, cauchy_product(a_q, a_q))
     lift_then_product = cauchy_product(section(q, a_q), section(q, a_q))
-    assert product_then_lift.is_zero()
+    assert not product_then_lift.terms
     assert lift_then_product == S(q.base, 4, [(1, "aa")])
     assert product_then_lift != lift_then_product
 
