@@ -17,6 +17,7 @@ from .hilbert import check_hilbert_relation, hilbert_prefix, poly_text
 from .monoid import FreeMonoid, ReesQuotient
 from .quotient_maps import check_mobius_transfer
 from .series import (
+    Series,
     cauchy_product,
     check_oracle_equivalence,
     check_unit_inverse,
@@ -77,8 +78,27 @@ def _load_series(args, count: int) -> list:
             for source in args.series]
 
 
+# the interpreter's limit on writing an int as decimal text, where it has one
+_digit_limit = getattr(sys, "get_int_max_str_digits", None)
+
+
+def _exact_text(write, value) -> str:
+    """``write(value)`` with the interpreter's limit on converting an int
+    to decimal text lifted, and restored after: results are exact at any
+    size and are written in full, while reading an operand keeps the
+    limit."""
+    if _digit_limit is None:
+        return write(value)
+    saved = _digit_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        return write(value)
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 def _emit_series(f, fmt: str):
-    print(series_to_json(f) if fmt == "json" else f.render())
+    print(_exact_text(series_to_json if fmt == "json" else Series.render, f))
 
 
 def _cmd_mobius(args) -> int:
@@ -107,8 +127,8 @@ def _cmd_invert(args) -> int:
 
 def _cmd_hilbert(args) -> int:
     counts = hilbert_prefix(args.parsed_monoid, args.order)
-    print(json.dumps({"counts": list(counts)}) if args.format == "json"
-          else poly_text(counts))
+    print(_exact_text(json.dumps, {"counts": list(counts)})
+          if args.format == "json" else _exact_text(poly_text, counts))
     return 0
 
 

@@ -303,8 +303,10 @@ def cauchy_product(f: Series, g: Series) -> Series:
 
     A nonzero product of terms of orders i and j has order i + j, so
     only the order pairs with i + j at most the truncation are
-    multiplied.  The terms of each order are grouped by the monoid's
-    seam keys, f's by the right key and g's by the left one, and
+    multiplied.  The identity's terms are copied, as 1*y = y and
+    x*1 = x, and the pair loops take the positive orders only.  An order
+    of f is grouped by the right seam key, and one of g by the left key,
+    only when the other factor has an order that fits beside it; then
     :func:`_add_products` multiplies each such pair of orders into the
     one accumulator.
     """
@@ -314,15 +316,32 @@ def cauchy_product(f: Series, g: Series) -> Series:
     cap = min(f.truncation, g.truncation)
     order = m._order
     right, left = m._seam_keys or (None, None)
-    g_classes = [(n, _seam_classes(pairs, left))
-                 for n, pairs in _by_order(g.terms.items(), order)]
+    fs = _by_order(f.terms.items(), order)
+    gs = _by_order(g.terms.items(), order)
     acc = {}
-    for ox, pairs in _by_order(f.terms.items(), order):
-        x_classes = _seam_classes(pairs, right)
-        for og, ys in g_classes:
-            if ox + og > cap:
+    # the identity is the only word of order 0
+    if fs and fs[0][0] == 0:
+        ((_, a),) = fs.pop(0)[1]
+        acc = {y: a * b for n, pairs in gs if n <= cap for y, b in pairs}
+    if gs and gs[0][0] == 0:
+        ((_, b),) = gs.pop(0)[1]
+        for n, pairs in fs:
+            if n > cap:
                 break
-            _add_products(m, acc, x_classes, ys)
+            for x, a in pairs:
+                prev = acc.get(x)
+                acc[x] = a * b if prev is None else prev + a * b
+    if fs and gs:
+        g_classes = [(n, _seam_classes(pairs, left))
+                     for n, pairs in gs if n + fs[0][0] <= cap]
+        for ox, pairs in fs:
+            if ox + gs[0][0] > cap:
+                break
+            x_classes = _seam_classes(pairs, right)
+            for og, ys in g_classes:
+                if ox + og > cap:
+                    break
+                _add_products(m, acc, x_classes, ys)
     reduce, zero = ring.reduce, ring.zero
     terms = {w: v for w, c in acc.items() if (v := reduce(c)) != zero}
     return Series(m, cap, terms, ring, _normalized=True)
@@ -383,18 +402,20 @@ def star(f: Series) -> Series:
     """Inverse of (1 - f) for a proper series f, solved grade by grade.
 
     The star s satisfies s = 1 + s*f.  The terms of f are bucketed by
-    order and handed to :func:`_solve_star`, which seeds the identity
-    grade of s instead of multiplying it against f.
+    order and handed to :func:`_solve_star`, one dict per order, which
+    seeds the identity grade of s instead of multiplying it against f.
     """
     _require_proper(f)
     return _solve_star(f.monoid, f.truncation, f.ring,
-                       _by_order(f.terms.items(), f.monoid._order))
+                       [(n, dict(pairs)) for n, pairs in
+                        _by_order(f.terms.items(), f.monoid._order)])
 
 
 def _solve_star(m: ZeroMonoid, cap: int, ring: Ring, buckets: list) -> Series:
-    """Star of the proper series whose terms are the (word, coefficient)
-    pairs of ``buckets``, a list of (order, pairs) for the orders 1..cap
-    that hold terms, in increasing order.
+    """Star of the proper series whose terms are held by ``buckets``, a
+    list of (order, dict of word to coefficient) for the orders 1..cap
+    that hold terms, in increasing order; each dict is consumed as the
+    pending grade of its order.
 
     A nonzero product x*y with x in grade i of s and y of order j >= 1
     has order i + j, so it is added into the pending grade i + j.  Grade
@@ -406,15 +427,20 @@ def _solve_star(m: ZeroMonoid, cap: int, ring: Ring, buckets: list) -> Series:
     sum over i >= 1 of |s_i| * |f_{<=cap-i}| pairs, which is small when
     s is sparse, as Mobius series are.
 
-    Each grade of s is grouped by the right seam key and each bucket by
-    the left one, and :func:`_add_products` adds the products of the
-    grade and each bucket of order at most cap - i into their grade.
+    Grades of s above 0 have order at least f's lowest order j0, so no
+    order above cap - j0 is a factor within the truncation: such a
+    bucket only seeds its grade, and such a grade is only kept.  Each
+    other grade is grouped by the right seam key and each other bucket,
+    copied as pairs first, by the left one; :func:`_add_products` adds
+    the products of the grade and each bucket of order at most cap - i
+    into their grade.
     """
     right, left = m._seam_keys or (None, None)
     reduce, zero = ring.reduce, ring.zero
-    f_classes = [(j, _seam_classes(pairs, left)) for j, pairs in buckets]
-    pending = collections.defaultdict(
-        dict, ((j, dict(pairs)) for j, pairs in buckets))
+    pending = collections.defaultdict(dict, buckets)
+    top = cap - min(pending, default=0)  # the highest order that is a factor
+    f_classes = [(j, _seam_classes(list(seed.items()), left))
+                 for j, seed in buckets if j <= top]
     terms = {m.identity(): ring.one}
     while pending:
         i = min(pending)
@@ -428,6 +454,8 @@ def _solve_star(m: ZeroMonoid, cap: int, ring: Ring, buckets: list) -> Series:
                     f"order of {m.describe()} is not additive: a product "
                     f"of orders summing to {i} is {m.render_word(x)}")
         terms.update(grade)
+        if i > top:
+            continue
         x_classes = _seam_classes(grade, right)
         for j, ys in f_classes:
             if i + j > cap:
@@ -448,12 +476,13 @@ def mobius_series(m: ZeroMonoid, truncation: int,
     """Inverse of the characteristic series: the star of -zeta+, where
     zeta+ sums every element of order 1..N.
 
-    The nonempty grades of m are handed to :func:`_solve_star` directly,
-    each element with coefficient -1, so no characteristic series is
-    built and no element's order is asked.
+    Each nonempty grade of m goes to :func:`_solve_star` straight from
+    ``grades(N)`` as ``dict.fromkeys(grade, -1)``, so no characteristic
+    series is built, no element's order is asked, and a grade that only
+    seeds, such as the top one, is never listed as pairs.
     """
     neg_one = ring.from_int(-1)
-    buckets = [(n, [(x, neg_one) for x in grade])
+    buckets = [(n, dict.fromkeys(grade, neg_one))
                for n, grade in enumerate(m.grades(truncation)) if n and grade]
     return _solve_star(m, truncation, ring, buckets)
 

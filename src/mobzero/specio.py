@@ -18,8 +18,9 @@ Series coefficients travel as decimal strings (ASCII digits with an
 optional leading minus sign, nothing else), so no JSON implementation
 reads them as floats.  A coefficient longer than
 ``sys.get_int_max_str_digits()`` digits (4,300 by Python's default) is
-refused on reading and fails on writing; the digit-limit item of
-ROADMAP.md covers lifting that bound.  Over the rationals a
+refused on reading.  The writer converts coefficients under the same
+limit; the CLI lifts it around its output only, so exact results of
+any size are written in full, and restores it after.  Over the rationals a
 coefficient may also be a fraction ``p/q`` as ``str(Fraction)`` writes
 it: a decimal numerator, a slash and an unsigned denominator of at least
 2, in lowest terms.  Words travel as letter-name lists, the letters of

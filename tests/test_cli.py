@@ -1,4 +1,6 @@
+import decimal
 import json
+import sys
 
 import pytest
 
@@ -177,6 +179,53 @@ def test_hilbert_json_defaults_to_order(capsys):
                        "--order", "5", "--format", "json")
     assert code == 0
     assert json.loads(out) == {"counts": [1, 3, 6, 6, 0, 0]}
+
+
+def digit_limit():
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+# decimal arithmetic has no digit limit, and this context rounds nothing
+# below 10,000 digits: an oracle for exact results written in decimal
+EXACT = decimal.Context(prec=10_000)
+
+
+def test_hilbert_writes_a_count_beyond_the_digit_limit(capsys):
+    # 2^15000 has 4,516 digits, beyond the interpreter's default limit of
+    # 4,300 on writing an int as text; the CLI lifts it for its output
+    # and restores it after
+    limit = digit_limit()
+    code, out, err = run(capsys, "hilbert", "--monoid", FREE_AB,
+                         "--order", "15000", "--format", "json")
+    assert (code, err) == (0, "")
+    assert digit_limit() == limit
+    head, last = out.rsplit(", ", 1)
+    assert head.startswith('{"counts": [1, 2, 4, 8, ')
+    assert last.endswith("]}\n")
+    assert EXACT.create_decimal(last[:-3]) == EXACT.power(2, 15000)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_mul_writes_a_product_beyond_the_digit_limit(tmp_path, capsys, fmt):
+    # each operand's coefficient has 2,200 digits, within the limit on
+    # reading; their product has 4,400, beyond the limit on writing
+    big = "9" * 2200
+    f = write_series(tmp_path, "f.json", {"truncation": 2,
+                                          "terms": [[big, ["a"]]]})
+    g = write_series(tmp_path, "g.json", {"truncation": 2,
+                                          "terms": [["-" + big, ["b"]]]})
+    limit = digit_limit()
+    code, out, err = run(capsys, "mul", "--monoid", FREE_AB, "--order", "2",
+                         "--format", fmt, "--series", f, "--series", g)
+    assert (code, err) == (0, "")
+    assert digit_limit() == limit
+    if fmt == "json":
+        prefix, suffix = '{"truncation": 2, "terms": [["', '", ["a", "b"]]]}\n'
+    else:
+        prefix, suffix = "", "ab\n"
+    assert out.startswith(prefix + "-9") and out.endswith(suffix)
+    product = EXACT.create_decimal(out[len(prefix):-len(suffix)])
+    assert product == EXACT.minus(EXACT.power(EXACT.create_decimal(big), 2))
 
 
 def test_count_table(capsys):

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import random
@@ -12,6 +13,7 @@ from mobzero import (
     AlgebraError,
     FreeCommutativeMonoid,
     FreeMonoid,
+    GeneratedIdeal,
     IntegerModRing,
     MembershipError,
     MinLengthIdeal,
@@ -487,6 +489,28 @@ def test_star_multiplies_only_grades_that_hold_terms(monkeypatch):
     assert len(calls) == 1
 
 
+def test_an_order_too_high_to_be_a_factor_gets_no_seam_key(monkeypatch):
+    # f's lowest order is 1, so at N = 4 its order-4 terms can meet no
+    # partner within the truncation: star only seeds grade 4 with them,
+    # and neither star nor cauchy_product groups them by a seam key
+    base = free(3)
+    m = ReesQuotient(base, GeneratedIdeal(base, [(0, 1)]))
+    keyed = []
+
+    def counted(key):
+        def call(word):
+            keyed.append(word)
+            return key(word)
+        return call
+
+    monkeypatch.setattr(m, "_seam_keys", tuple(map(counted, m._seam_keys)))
+    f = Series(m, 4, {(2,): 1, (1, 0, 2, 2): 2, (2, 1, 0, 0): -1})
+    assert star(f) == star_by_powers(f)[0]
+    assert cauchy_product(f, f) == convolve_oracle(f, f)
+    assert keyed
+    assert [x for x in keyed if len(x) == 4] == []
+
+
 def test_star_refuses_an_order_that_is_not_superadditive():
     # a*a = a is placed in grade 2 but has order 1; the solver must fail
     # rather than keep a word in the wrong grade
@@ -593,6 +617,70 @@ def test_products_match_per_pair_route(k):
                 assert mu == star_by_pairs(one - zeta), m.describe()
                 assert convolve_oracle(mu, zeta) == one, m.describe()
                 assert convolve_oracle(zeta, mu) == one, m.describe()
+
+
+def test_cauchy_copies_the_identity_rather_than_multiplying_it(monkeypatch):
+    # 1*y = y and x*1 = x, so the identity's terms are copied into the
+    # product: no class holding the identity reaches the kernel
+    words = []
+    kernel = series_module._add_products
+
+    def counted(m, acc, x_classes, y_classes):
+        words.extend(x for cls in x_classes + y_classes for x, _ in cls)
+        return kernel(m, acc, x_classes, y_classes)
+
+    monkeypatch.setattr(series_module, "_add_products", counted)
+    rng = random.Random(5)
+    for m in (free(2), standard_words()):
+        one = Series.one(m, 4)
+        f = seeded_operand(rng, m, 4, 3, INTEGERS, proper=True)
+        g = seeded_operand(rng, m, 4, 3, INTEGERS, proper=True)
+        for x, y in ((one + f, g), (f, one + g), (one + f, one + g)):
+            assert cauchy_product(x, y) == convolve_oracle(x, y)
+    assert words
+    assert () not in words
+
+
+@pytest.mark.parametrize("ring, unit", [
+    (INTEGERS, -1), (RATIONALS, Fraction(3, 2)), (IntegerModRing(2), 1),
+    (IntegerModRing(4), 2)], ids=["integers", "rationals", "mod2", "mod4"])
+def test_cauchy_with_the_identity_matches_the_oracle(ring, unit):
+    # the identity in one factor, both or neither, at unequal truncations
+    # both ways, so the longer factor's terms above the cap must drop;
+    # mod 2 a copied term can cancel a product, and mod 4 the copy of
+    # 2*2 vanishes on its own
+    base = free(3)
+    rng = random.Random(11)
+    for m in (base, ReesQuotient(base, GeneratedIdeal(base, [(0, 1)]))):
+        for tf, tg in ((5, 3), (3, 5)):
+            f = seeded_operand(rng, m, tf, tf, ring, proper=True)
+            g = seeded_operand(rng, m, tg, tg, ring, proper=True)
+            f_one = Series(m, tf, {(): unit}, ring)
+            g_one = Series(m, tg, {(): unit}, ring)
+            for x, y in ((f, g), (f + f_one, g), (f, g + g_one),
+                         (f + f_one, g + g_one)):
+                assert cauchy_product(x, y) == convolve_oracle(x, y), (
+                    m.describe(), tf, tg)
+
+
+def test_mobius_memory_stays_near_the_grades_it_reads():
+    # grade 7, 16,384 of the 21,844 elements, is no factor of a product
+    # within the truncation: it seeds the solve as one dict and is never
+    # listed as (word, coefficient) pairs.  A full collection empties the
+    # tuple free lists first, so neither call is measured on words the
+    # other freed
+    m = free(4)
+
+    def peak(run):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(lambda: mobius_series(m, 7)) < 1.6 * peak(lambda: m.grades(7))
 
 
 # -- characteristic and mobius series ---------------------------------------
