@@ -1,9 +1,9 @@
 """Command line front end.
 
 Every subcommand takes a monoid description (inline JSON or a path to a
-JSON file) and prints either text or JSON.  Exit status is 0 on success,
-1 when an input fails to validate, and 2 when a verification finds a
-counterexample.
+JSON file) and prints either text or JSON.  Exit status is 0 on success
+and for ``--help``, 1 when an input or the command line fails to
+validate, and 2 only when a verification finds a counterexample.
 """
 
 from __future__ import annotations
@@ -174,7 +174,11 @@ def main(argv=None) -> int:
     global _parser
     if _parser is None:
         _parser = build_parser()
-    args = _parser.parse_args(argv)
+    try:
+        args = _parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse's 2 for a bad command line would read as verify's failure
+        return 1 if exc.code else 0
     try:
         if args.order < 0:
             raise ValueError(f"order must be nonnegative, got {args.order}")

@@ -25,6 +25,6 @@ class MonoidMismatchError(AlgebraError):
 
 
 class ProperError(AlgebraError):
-    """A series had a nonzero (or non-unit) coefficient at the identity where
-    a proper series (or a 1 + proper one) was required."""
+    """``star`` was given a series with a nonzero coefficient at the
+    identity: only a proper series has a star."""
 

@@ -33,8 +33,7 @@ def hilbert_prefix(m: ZeroMonoid, top: int) -> tuple:
         raise ValueError(f"top must be nonnegative, got {top}")
     extend = m.extend
     residue = m.residue
-    one = m.identity()
-    grade = {residue(one): [one, 1]}
+    grade = {residue(()): [(), 1]}
     counts = [1]
     for _ in range(top):
         above = {}

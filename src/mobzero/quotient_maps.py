@@ -49,8 +49,8 @@ def check_mobius_transfer(q: ReesQuotient, truncation: int) -> Report:
     """The quotient's Mobius series is the projection of the base's.
 
     Both sides are computed intrinsically and compared.  The note records
-    whether the base series even touches the ideal; when it does not, the
-    two coincide term for term as raw coefficient maps.
+    whether the base series touches the ideal, that is whether ``phi``
+    dropped a term; if not, the two agree term for term.
     """
     mu_base = mobius_series(q.base, truncation)
     transferred = phi(q, mu_base)
@@ -60,7 +60,7 @@ def check_mobius_transfer(q: ReesQuotient, truncation: int) -> Report:
         violations.append(
             "projected base Mobius series differs from the quotient's "
             f"({first_difference(transferred, mu_quotient)})")
-    if any(q.ideal.contains(w) for w in mu_base.terms):
+    if len(transferred.terms) < len(mu_base.terms):
         notes = ("base Mobius support meets the ideal; projection drops terms",)
     else:
         notes = ("base Mobius support avoids the ideal; series agree "

@@ -125,7 +125,7 @@ class Series:
             coeff = ring.coerce(coeff, "coefficient")
             if coeff == ring.zero:
                 continue
-            if monoid._order(word) > truncation:
+            if len(word) > truncation:
                 continue
             clean[word] = coeff
         self.terms = clean
@@ -138,18 +138,16 @@ class Series:
 
     @classmethod
     def one(cls, monoid, truncation, ring=INTEGERS):
-        return cls(monoid, truncation, {monoid.identity(): ring.one}, ring,
-                   _normalized=True)
+        return cls(monoid, truncation, {(): ring.one}, ring, _normalized=True)
 
     # -- queries -----------------------------------------------------------
 
     def augmentation(self):
         """Coefficient at the identity."""
-        return self.terms.get(self.monoid.identity(), self.ring.zero)
+        return self.terms.get((), self.ring.zero)
 
     def items_sorted(self) -> list:
-        order = self.monoid._order
-        return sorted(self.terms.items(), key=lambda kv: (order(kv[0]), kv[0]))
+        return sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
 
     # -- rendering ---------------------------------------------------------
 
@@ -189,10 +187,9 @@ class Series:
         _check_compatible(self, other)
         ring = self.ring
         cap = min(self.truncation, other.truncation)
-        order = self.monoid._order
-        terms = {w: c for w, c in self.terms.items() if order(w) <= cap}
+        terms = {w: c for w, c in self.terms.items() if len(w) <= cap}
         for w, c in other.terms.items():
-            if order(w) > cap:
+            if len(w) > cap:
                 continue
             total = ring.reduce(terms.get(w, ring.zero) + c)
             if total == ring.zero:
@@ -250,12 +247,12 @@ def _check_compatible(f: Series, g: Series):
             f"series over ring {f.ring!r} combined with series over {g.ring!r}")
 
 
-def _by_order(terms, order) -> list:
+def _by_order(terms) -> list:
     """(n, the (word, coefficient) pairs of ``terms`` of order n) for
     every order n that holds terms, in increasing n."""
     by_order = {}
     for term in terms:
-        by_order.setdefault(order(term[0]), []).append(term)
+        by_order.setdefault(len(term[0]), []).append(term)
     return sorted(by_order.items())
 
 
@@ -314,10 +311,9 @@ def cauchy_product(f: Series, g: Series) -> Series:
     m = f.monoid
     ring = f.ring
     cap = min(f.truncation, g.truncation)
-    order = m._order
     right, left = m._seam_keys or (None, None)
-    fs = _by_order(f.terms.items(), order)
-    gs = _by_order(g.terms.items(), order)
+    fs = _by_order(f.terms.items())
+    gs = _by_order(g.terms.items())
     acc = {}
     # the identity is the only word of order 0
     if fs and fs[0][0] == 0:
@@ -408,7 +404,7 @@ def star(f: Series) -> Series:
     _require_proper(f)
     return _solve_star(f.monoid, f.truncation, f.ring,
                        [(n, dict(pairs)) for n, pairs in
-                        _by_order(f.terms.items(), f.monoid._order)])
+                        _by_order(f.terms.items())])
 
 
 def _solve_star(m: ZeroMonoid, cap: int, ring: Ring, buckets: list) -> Series:
@@ -441,7 +437,7 @@ def _solve_star(m: ZeroMonoid, cap: int, ring: Ring, buckets: list) -> Series:
     top = cap - min(pending, default=0)  # the highest order that is a factor
     f_classes = [(j, _seam_classes(list(seed.items()), left))
                  for j, seed in buckets if j <= top]
-    terms = {m.identity(): ring.one}
+    terms = {(): ring.one}
     while pending:
         i = min(pending)
         grade = [(x, v) for x, a in pending.pop(i).items()
@@ -449,7 +445,7 @@ def _solve_star(m: ZeroMonoid, cap: int, ring: Ring, buckets: list) -> Series:
         if not grade:
             continue
         for x, _ in grade:
-            if m._order(x) != i:
+            if len(x) != i:
                 raise AlgebraError(
                     f"order of {m.describe()} is not additive: a product "
                     f"of orders summing to {i} is {m.render_word(x)}")
@@ -504,7 +500,7 @@ def first_difference(f: Series, g: Series) -> str | None:
     m = f.monoid
     zero = f.ring.zero
     words = set(f.terms) | set(g.terms)
-    for w in sorted(words, key=lambda w: (m._order(w), w)):
+    for w in sorted(words, key=lambda w: (len(w), w)):
         a = f.terms.get(w, zero)
         b = g.terms.get(w, zero)
         if a != b:

@@ -77,12 +77,15 @@ def read_json_source(source: str) -> dict:
         except OSError as exc:  # missing, a directory, no permission, ...
             raise SpecError(
                 f"cannot read {source}: {exc.strerror.lower()}") from None
+        except UnicodeDecodeError:
+            raise SpecError(f"cannot read {source}: not UTF-8 text") from None
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpecError(f"invalid JSON in {source!r}: {exc}") from None
     if not isinstance(obj, dict):
-        raise SpecError(f"expected a JSON object, got {type(obj).__name__}")
+        raise SpecError(f"expected a JSON object in {source!r}, "
+                        f"got {type(obj).__name__}")
     return obj
 
 
@@ -171,7 +174,7 @@ def parse_series(obj: dict, monoid: ZeroMonoid, ring: Ring = INTEGERS,
     coefficients = {}  # each distinct wire coefficient, parsed once
     index = monoid.alphabet()._index.__getitem__
     from_indices, collapses = monoid._from_indices, monoid._collapses
-    order, zero = monoid._order, ring.zero
+    zero = ring.zero
     for entry in raw_terms:
         # A term whose coefficient was parsed before and whose letters are
         # all in the alphabet costs one map and a few dict lookups; a
@@ -187,9 +190,9 @@ def parse_series(obj: dict, monoid: ZeroMonoid, ring: Ring = INTEGERS,
                 pass
         if word is None or collapses(word):
             coeff, word = _read_term(entry, monoid, ring, coefficients)
-        if order(word) > truncation:
+        if len(word) > truncation:
             raise SpecError(
-                f"term {entry[1]!r} has order {order(word)}, beyond "
+                f"term {entry[1]!r} has order {len(word)}, beyond "
                 f"the stated truncation {truncation}")
         if word in terms:
             raise SpecError(f"duplicate term for word {entry[1]!r}")

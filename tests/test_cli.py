@@ -338,6 +338,36 @@ def test_validation_failures_exit_one(capsys):
     assert "order" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--order", "x", "--monoid", FREE_AB],
+    ["verify", "--order", "3"],
+    [],
+], ids=["bad-order", "no-monoid", "no-subcommand"])
+def test_malformed_command_line_exits_one(capsys, argv):
+    # argparse's own status, 2, is what verify returns for a counterexample
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage: mobzero")
+
+
+def test_help_exits_zero(capsys):
+    code, out, err = run(capsys, "verify", "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: mobzero verify")
+
+
+@pytest.mark.parametrize("content", [b"[1, 2]", b'{"truncation": "\xff"}'],
+                         ids=["list", "not-utf-8"])
+def test_bad_operand_file_is_named(tmp_path, capsys, content):
+    good = write_series(tmp_path, "good.json", {"truncation": 3, "terms": []})
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    code, out, err = run(capsys, "mul", "--monoid", FREE_AB, "--order", "3",
+                         "--series", good, "--series", str(bad))
+    assert (code, out) == (1, "")
+    assert str(bad) in err and good not in err
+
+
 @pytest.mark.parametrize("monoid", [
     '{"type": "rees", "base": 5, "ideal": {}}',
     '{"type": "rees", "base": null, "ideal": {"kind": "repeated-letter"}}',

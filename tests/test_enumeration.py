@@ -160,7 +160,7 @@ def test_extend_lists_one_order_up_from_a_divisor():
         for n in range(5):
             for parent in elements_by_filter(m, n):
                 for word in m.extend(parent):
-                    assert m._order(word) == n + 1
+                    assert len(word) == n + 1
                     assert any(y == parent for y, _ in factorizations(m, word))
                     seen.append(word)
         expected = [w for n in range(1, 6) for w in elements_by_filter(m, n)]
@@ -180,7 +180,7 @@ def test_grades_match_elements_of_order():
     q = ReesQuotient(free(2), MinLengthIdeal(free(2), 2))
     for m in (free(2), commutative(2), q):
         assert m.grades(-1) == []
-        assert m.grades(0) == [[m.identity()]]
+        assert m.grades(0) == [[()]]
 
 
 def test_grade_consumers_see_every_survivor():

@@ -28,7 +28,7 @@ def test_repeated_letter_membership():
     ideal = RepeatedLetterIdeal(base)
     assert ideal.contains(w(base, "aba"))
     assert not ideal.contains(w(base, "abc"))
-    assert not ideal.contains(base.identity())
+    assert not ideal.contains(())
     assert ideal.contains(w(base, "cc"))
 
 
@@ -129,7 +129,7 @@ def test_generated_empty_word_caught_by_validation():
     # a validation/report concern, and quotient construction rejects it
     base = free(2)
     ideal = GeneratedIdeal(base, [()])
-    assert ideal.contains(base.identity())
+    assert ideal.contains(())
     report = validate_ideal(ideal, 3)
     assert not report.passed
     assert "not proper" in report.counterexample
@@ -141,7 +141,7 @@ def test_degree_at_least_membership():
     assert ideal.contains(w(base, "aa"))
     assert ideal.contains(w(base, "ba"))
     assert not ideal.contains(w(base, "b"))
-    assert not ideal.contains(base.identity())
+    assert not ideal.contains(())
 
 
 def test_degree_at_least_validation():
@@ -158,7 +158,7 @@ def test_ev_preimage_membership():
     assert ideal.contains(w(base, "ab"))
     assert ideal.contains(w(base, "aa"))
     assert not ideal.contains(w(base, "a"))
-    assert not ideal.contains(base.identity())
+    assert not ideal.contains(())
 
 
 def test_ev_preimage_consistency_exhaustive():

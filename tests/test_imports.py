@@ -1,5 +1,6 @@
 """Every name a library module imports is used in that module, every
-name the package exports has a reader outside the tests, and the CLI
+name the package exports has a reader outside the tests, no file but
+the benchmark's tracer reads the monoid's order hook, and the CLI
 starts without the standard library's introspection modules.
 
 The package's ``__init__.py`` imports names to export them, so it is
@@ -89,6 +90,39 @@ def test_every_export_has_a_reader_outside_the_tests():
     unread = [name for name in exported_names() if name not in read
               and not re.search(rf"\b{re.escape(name)}\b", workflow)]
     assert unread == sorted(AWAITING_A_READER)
+
+
+def hook_uses(tree: ast.AST) -> tuple:
+    """The lines that read an attribute ``_order`` and the lines that
+    call a method ``identity``."""
+    reads, calls = [], []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == "_order"
+                and isinstance(node.ctx, ast.Load)):
+            reads.append(node.lineno)
+        elif (isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "identity"):
+            calls.append(node.lineno)
+    return reads, calls
+
+
+def test_the_order_hook_is_read_by_the_bench_only():
+    # the word encoding fixes the identity, (), and the order, len, so
+    # the library and the tests read neither from a monoid.  Only the
+    # benchmark's tracer still reads ZeroMonoid._order; once it stops,
+    # this fails, and the hook can be deleted
+    readers, calls = set(), []
+    for path in sorted(p for top in ("src", "tests", "bench")
+                       for p in (ROOT / top).rglob("*.py")):
+        name = path.relative_to(ROOT).as_posix()
+        reads, found = hook_uses(ast.parse(path.read_text(encoding="utf-8"),
+                                           filename=str(path)))
+        if reads:
+            readers.add(name)
+        calls += [f"{name}:{line}" for line in found]
+    assert sorted(readers) == ["bench/spans.py"]
+    assert calls == []
 
 
 # code generation and source introspection: a dataclass pulls in all but

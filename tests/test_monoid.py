@@ -82,9 +82,9 @@ def test_free_product_concatenates():
     m = free(2)
     ab, a = words(m, ["ab", "a"])
     assert m._mul(ab, a) == m.word_from_letters(["a", "b", "a"])
-    assert m._mul(m.identity(), ab) == ab
+    assert m._mul((), ab) == ab
     assert len(ab) == 2
-    assert len(m.identity()) == 0
+    assert m.word_from_letters([]) == ()
 
 
 def test_free_membership_checked():
@@ -147,7 +147,7 @@ def test_commutative_product_adds_exponents():
     assert m._mul(a, m._mul(b, a)) == aab
     assert m.render_word(m._mul(a, a)) == "aa"
     assert len(aab) == 3
-    assert m.render_word(m.identity()) == "1"
+    assert m.render_word(()) == "1"
     assert commutative_image(aab, 2) == (2, 1)
 
 
@@ -170,7 +170,7 @@ def test_commutative_elements_of_order_sorted_by_expansion():
 
 def test_commutative_factorizations_of_ab():
     m = commutative(2)
-    one = m.identity()
+    one = ()
     a, b, ab, aa = words(m, ["a", "b", "ab", "aa"])
     pairs = factorizations(m, ab)
     assert pairs == [(one, ab), (a, b), (b, a), (ab, one)]
@@ -180,7 +180,7 @@ def test_commutative_factorizations_of_ab():
 
 def test_commutative_membership():
     m = commutative(2)
-    assert m.contains(m.identity())
+    assert m.contains(())
     assert m.contains(m.word_from_letters(["b", "a"]))
     for word in [(1, 0), (2,), (0, -1), (0, 1.0), [0, 1]]:
         assert not m.contains(word), word
@@ -196,7 +196,7 @@ def test_commutative_kernels_match_the_vector_route(k):
     for x in pool:
         v = commutative_image(x, k)
         assert vector_word(v) == x
-        assert m._order(x) == sum(v)
+        assert len(x) == sum(v)
         last = max([i for i, e in enumerate(v) if e], default=0)
         assert m.residue(x) == last
         assert m.extend(x) == [vector_word(v[:i] + (v[i] + 1,) + v[i + 1:])
@@ -349,7 +349,7 @@ def test_kernels_match_plain_python(m):
     grades = m.grades(6)
     for i, grade in enumerate(grades):
         for x in grade:
-            assert m._order(x) == order(x) == i
+            assert len(x) == order(x) == i
             for y in itertools.chain.from_iterable(grades[:7 - i]):
                 z = product(x, y)
                 assert m._mul(x, y) == (z if m.contains(z) else ZERO)
@@ -372,7 +372,7 @@ def test_factorizations_match_products_exhaustively():
 
 def test_only_identity_is_invertible():
     for m in builtin_monoids(2):
-        e = m.identity()
+        e = ()
         pool = pool_up_to(m, 3)
         for x in pool:
             for y in pool:
@@ -393,7 +393,7 @@ def test_rees_zero_exactly_on_ideal_products():
 
 def test_render_identity_and_words():
     m = free(2)
-    assert m.render_word(m.identity()) == "1"
+    assert m.render_word(()) == "1"
     assert m.render_word((0, 1, 0)) == "aba"
 
 

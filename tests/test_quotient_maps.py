@@ -172,7 +172,7 @@ def test_ev_counts_letters():
     cm = commutative(2)
     assert cm._from_indices(w(m, "aba")) == w(cm, "aab")
     assert commutative_image(w(m, "aba"), 2) == (2, 1)
-    assert cm._from_indices(m.identity()) == cm.identity()
+    assert cm._from_indices(()) == ()
 
 
 def test_ev_is_a_morphism():

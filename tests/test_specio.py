@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -525,5 +526,11 @@ def test_read_json_errors(tmp_path):
         read_json_source("{broken")
     bad = tmp_path / "list.json"
     bad.write_text("[1, 2]")
-    with pytest.raises(SpecError):
+    with pytest.raises(SpecError,
+                       match=re.escape(f"object in {str(bad)!r}, got list")):
         read_json_source(str(bad))
+    latin = tmp_path / "latin-1.json"
+    latin.write_bytes('{"type": "free", "alphabet": ["\xff"]}'.encode("latin-1"))
+    with pytest.raises(SpecError,
+                       match=re.escape(f"cannot read {latin}: not UTF-8 text")):
+        read_json_source(str(latin))
