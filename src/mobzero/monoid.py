@@ -204,6 +204,15 @@ class ZeroMonoid(ABC):
         raise InfiniteGradeError(
             f"{self.describe()} cannot extend its elements")
 
+    def _mobius_terms(self, top: int):
+        """The Mobius series up to order ``top`` in closed form, a dict of
+        word to 1 or -1; None makes ``mobius_series`` solve over the grades.
+        The free commutative base's, the product of (1 - a) over its
+        letters, waits for the benchmark's traced loop to stop on wall time
+        (ROADMAP item 1).
+        """
+        return None
+
     # (right key, left key), or None when no product collapses; see the
     # class docstring
     _seam_keys = (_same_word, _same_word)
@@ -347,6 +356,14 @@ class FreeMonoid(_FreeBase):
     def residue(self, word):
         return ()
 
+    def _mobius_terms(self, top):
+        # 1 - a - b - ...: (1 - a - b - ...) * zeta counts a nonempty
+        # word as itself and, negated, as its first letter times the rest
+        terms = {(): 1}
+        if top >= 1:
+            terms.update(dict.fromkeys(self._letters, -1))
+        return terms
+
     def _splits(self, x):
         return [(x[:i], x[i:]) for i in range(len(x) + 1)]
 
@@ -456,6 +473,15 @@ class ReesQuotient(ZeroMonoid):
 
     def _collapses(self, word):
         return self.base._collapses(word) or self.ideal.contains(word)
+
+    def _mobius_terms(self, top):
+        # phi is a ring morphism carrying the base's zeta onto this one's,
+        # so it carries the base's Mobius series onto this one's
+        terms = self.base._mobius_terms(top)
+        if terms is None:
+            return None
+        inside = self.ideal.contains
+        return {w: c for w, c in terms.items() if not inside(w)}
 
     def residue(self, word):
         return self.base.residue(word), self.ideal.residue(word)

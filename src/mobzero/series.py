@@ -469,8 +469,20 @@ def characteristic_series(m: ZeroMonoid, truncation: int,
 
 def mobius_series(m: ZeroMonoid, truncation: int,
                   ring: Ring = INTEGERS) -> Series:
-    """Inverse of the characteristic series: the star of -zeta+, where
-    zeta+ sums every element of order 1..N.
+    """Inverse of the characteristic series: the closed form of
+    ``m._mobius_terms(N)``, with nothing enumerated, when m has one (the
+    free monoid and its quotients), else :func:`_mobius_by_grades`."""
+    terms = m._mobius_terms(truncation)
+    if terms is None:
+        return _mobius_by_grades(m, truncation, ring)
+    return Series(m, truncation,
+                  {w: ring.from_int(c) for w, c in terms.items()}, ring,
+                  _normalized=True)
+
+
+def _mobius_by_grades(m: ZeroMonoid, truncation: int,
+                      ring: Ring = INTEGERS) -> Series:
+    """The star of -zeta+, where zeta+ sums every element of order 1..N.
 
     Each nonempty grade of m goes to :func:`_solve_star` straight from
     ``grades(N)`` as ``dict.fromkeys(grade, -1)``, so no characteristic

@@ -2,10 +2,11 @@
 
 The oracles here deliberately avoid the code paths they are used to
 check: one Mobius oracle inverts the characteristic series by a
-grade-by-grade linear solve over factorizations instead of the star
-route, the other keeps the old route, the star of one minus a
-characteristic series built in full, against the grades that
-``mobius_series`` feeds the solver directly, the falling-factorial counter
+grade-by-grade linear solve over factorizations instead of the closed
+form or the star route, the other keeps the old route, the star of one
+minus a characteristic series built in full, against the grades that
+``mobius_series`` feeds the solver directly where the monoid has no
+closed form, the falling-factorial counter
 predicts no-repeat word counts arithmetically instead of by enumeration,
 the term-by-term series reader parses every coefficient and spells every
 word on its own, without the coefficient memo and the letter map of

@@ -33,6 +33,8 @@ from helpers import (
     commutative,
     falling_factorial,
     free,
+    mobius_by_star,
+    mobius_by_triangular_solve,
     power,
     random_series,
     series_from_letterlists,
@@ -61,11 +63,15 @@ def test_01_standard_words_mobius():
     failures = []
     started = time.perf_counter()
     m = standard_words()
-    for truncation in (3, 5, 8):
-        got = mobius_series(m, truncation)
+    results = [(truncation, mobius_series(m, truncation))
+               for truncation in (3, 5, 8)]
+    elapsed = time.perf_counter() - started
+    for truncation, got in results:
         if got != one_minus_letters(m, truncation, 3):
             failures.append(f"N={truncation}: got {got.render()}")
-    elapsed = time.perf_counter() - started
+        if got != mobius_by_triangular_solve(m, truncation):
+            failures.append(f"N={truncation}: differs from the triangular "
+                            "solve")
     if elapsed >= 1.0:
         failures.append(f"runtime {elapsed:.2f}s, bound is 1s")
     conclude("criterion 1: standard-words Mobius series is 1 - a - b - c "
@@ -119,12 +125,12 @@ def test_04_mobius_transfer():
         mu_base = mobius_series(base, 8)
         for ideal in builtin_free_ideals(base):
             q = ReesQuotient(base, ideal)
-            if phi(q, mu_base) != mobius_series(q, 8):
+            if phi(q, mu_base) != mobius_by_star(q, 8):
                 failures.append(
                     f"transfer fails for {ideal.describe()} on {k} letters")
         cbase = commutative(k)
         cq = ReesQuotient(cbase, DegreeAtLeastIdeal(cbase, 3))
-        if phi(cq, mobius_series(cbase, 8)) != mobius_series(cq, 8):
+        if phi(cq, mobius_series(cbase, 8)) != mobius_by_star(cq, 8):
             failures.append(f"transfer fails for degree ideal on {k} letters")
 
     # first branch: ideal misses the letters, so the quotient Mobius
@@ -167,8 +173,11 @@ def test_05_ev_preimage_carrier():
         if extra:
             failures.append(f"unexpected elements of order {n}: {extra}")
             break
-    if mobius_series(m, 8) != one_minus_letters(m, 8, 3):
+    mu = mobius_series(m, 8)
+    if mu != one_minus_letters(m, 8, 3):
         failures.append("Mobius series is not 1 - a - b - c")
+    if mu != mobius_by_triangular_solve(m, 8):
+        failures.append("Mobius series differs from the triangular solve")
     conclude("criterion 5: letter-count preimage quotient carries exactly "
              "the identity and the letters, with Mobius series "
              "1 - a - b - c", failures)

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from mobzero import Report
+from mobzero import FreeMonoid, Report
 from mobzero.cli import main
 
 STANDARD = ('{"type": "rees", "base": {"type": "free", '
@@ -304,6 +304,24 @@ def test_verify_output_is_unchanged(capsys, monoid, order, text, checks):
         '{"checks": [{"check": "unit-inverse", "pass": true}, '
         '{"check": "oracle-equivalence", "pass": true}' + checks
         + '], "pass": true}\n'), "")
+
+
+def test_verify_catches_a_wrong_closed_form(capsys, monkeypatch):
+    # the quotient's series is the projection of the base's closed form,
+    # so the transfer check must solve the quotient over its grades to
+    # see a closed form that drops the letter c
+    closed_form = FreeMonoid._mobius_terms
+
+    def without_c(self, top):
+        terms = closed_form(self, top)
+        terms.pop((2,), None)
+        return terms
+
+    monkeypatch.setattr(FreeMonoid, "_mobius_terms", without_c)
+    code, out, _ = run(capsys, "verify", "--monoid", GEN_AB, "--order", "5")
+    assert code == 2
+    assert ("FAIL mobius-transfer: projected base Mobius series differs "
+            "from the quotient's (at c: 0 != -1)") in out.splitlines()
 
 
 def test_verify_failure_exits_two(capsys, monkeypatch):

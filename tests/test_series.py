@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from mobzero import (
     INTEGERS,
     AlgebraError,
+    DegreeAtLeastIdeal,
     FreeCommutativeMonoid,
     FreeMonoid,
     GeneratedIdeal,
@@ -615,6 +616,8 @@ def test_products_match_per_pair_route(k):
                 zeta = characteristic_series(m, 5, ring)
                 mu = mobius_series(m, 5, ring)
                 assert mu == star_by_pairs(one - zeta), m.describe()
+                assert mu == series_module._mobius_by_grades(m, 5, ring), \
+                    m.describe()
                 assert convolve_oracle(mu, zeta) == one, m.describe()
                 assert convolve_oracle(zeta, mu) == one, m.describe()
 
@@ -664,8 +667,10 @@ def test_cauchy_with_the_identity_matches_the_oracle(ring, unit):
 
 
 def test_mobius_memory_stays_near_the_grades_it_reads():
-    # grade 7, 16,384 of the 21,844 elements, is no factor of a product
-    # within the truncation: it seeds the solve as one dict and is never
+    # the solve over the grades, which the free monoid skips for its
+    # closed form and which every monoid without one takes: grade 7,
+    # 16,384 of the 21,844 elements, is no factor of a product within the
+    # truncation, so it seeds the solve as one dict and is never
     # listed as (word, coefficient) pairs.  A full collection empties the
     # tuple free lists first, so neither call is measured on words the
     # other freed
@@ -680,7 +685,8 @@ def test_mobius_memory_stays_near_the_grades_it_reads():
         finally:
             tracemalloc.stop()
 
-    assert peak(lambda: mobius_series(m, 7)) < 1.6 * peak(lambda: m.grades(7))
+    assert peak(lambda: series_module._mobius_by_grades(m, 7, INTEGERS)) \
+        < 1.6 * peak(lambda: m.grades(7))
 
 
 # -- characteristic and mobius series ---------------------------------------
@@ -717,8 +723,9 @@ def test_mobius_values():
 
 
 def test_mobius_matches_triangular_solve():
-    """Three routes agree: the grades fed straight to the solver, the star
-    of -zeta+, and the triangular solve over factorizations."""
+    """Four routes agree: the closed form where the monoid has one, the
+    grades fed straight to the solver, the star of -zeta+, and the
+    triangular solve over factorizations."""
     for k in (1, 2, 3):
         base = free(k)
         quotients = [ReesQuotient(base, ideal)
@@ -728,10 +735,68 @@ def test_mobius_matches_triangular_solve():
                          IntegerModRing(7)):
                 for truncation in (0, 1, 5):
                     mu = mobius_series(m, truncation, ring)
+                    assert mu == series_module._mobius_by_grades(
+                        m, truncation, ring), (m.describe(), ring, truncation)
                     assert mu == mobius_by_star(m, truncation, ring), \
                         (m.describe(), ring, truncation)
                     assert mu == mobius_by_triangular_solve(
                         m, truncation, ring), (m.describe(), ring, truncation)
+
+
+def quotient_of_quotient(k, inner_words, outer_words):
+    """The free monoid on k letters, cut by the ideal generated by
+    ``inner_words`` and then by the one generated by ``outer_words``."""
+    base = free(k)
+    inner = ReesQuotient(base, GeneratedIdeal(base, inner_words))
+    return ReesQuotient(inner, GeneratedIdeal(inner, outer_words))
+
+
+def closed_form_monoids():
+    """The free monoid on {a, b, c}, its quotient by every built-in ideal
+    kind and by gen[c, ab], and a quotient of a quotient of it."""
+    base = free(3)
+    ideals = builtin_free_ideals(base) + [GeneratedIdeal(base, [(2,), (0, 1)])]
+    return ([base] + [ReesQuotient(base, ideal) for ideal in ideals]
+            + [quotient_of_quotient(3, [(0, 2)], [(2,), (1, 1)])])
+
+
+@pytest.mark.parametrize("ring", [INTEGERS, RATIONALS, IntegerModRing(2)],
+                         ids=["integers", "rationals", "mod2"])
+@pytest.mark.parametrize("truncation", [0, 1, 8])
+def test_closed_form_matches_both_oracles(ring, truncation):
+    """The closed form on the free base and its transfer to quotients,
+    against the star of -zeta+ and the triangular solve; mod 2 the -1 of
+    every letter is 1."""
+    for m in closed_form_monoids():
+        assert m._mobius_terms(truncation) is not None, m.describe()
+        mu = mobius_series(m, truncation, ring)
+        assert mu == mobius_by_star(m, truncation, ring), m.describe()
+        assert mu == mobius_by_triangular_solve(m, truncation, ring), \
+            m.describe()
+
+
+def test_no_closed_form_on_the_commutative_base():
+    c = commutative(3)
+    inner = ReesQuotient(c, DegreeAtLeastIdeal(c, 5))
+    for m in (c, inner, ReesQuotient(c, DegreeAtLeastIdeal(c, 3)),
+              ReesQuotient(inner, DegreeAtLeastIdeal(inner, 3))):
+        assert m._mobius_terms(8) is None, m.describe()
+
+
+def test_mobius_far_beyond_enumeration(monkeypatch):
+    # the closed form and its transfer enumerate nothing, so at an order
+    # whose grades could never be listed the answer is the same
+    def refuse(self, *args):
+        raise AssertionError("enumerated the free monoid")
+
+    monkeypatch.setattr(FreeMonoid, "grades", refuse)
+    monkeypatch.setattr(FreeMonoid, "extend", refuse)
+    top = 10 ** 8
+    m = free(2)
+    assert mobius_series(m, top) == S(m, top, [(1, ""), (-1, "a"), (-1, "b")])
+    # the inner ideal drops c and the outer one drops b
+    q = quotient_of_quotient(3, [(2,)], [(1,), (0, 0, 0)])
+    assert mobius_series(q, top) == S(q, top, [(1, ""), (-1, "a")])
 
 
 def test_unit_inverse_reports():
