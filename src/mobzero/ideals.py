@@ -52,7 +52,10 @@ class IdealSpec(ABC):
     def residue(self, word: Word):
         """What of ``word`` membership of its extensions depends on, given
         their order and the base's residue; see :meth:`ZeroMonoid.residue`.
-        The word itself always qualifies and merges nothing.
+        Two words outside the ideal of equal order and residue must keep
+        the same appended letters outside it, and each letter must lead
+        both to children of equal residue.  The word itself always
+        qualifies and merges nothing.
 
         It is also the right key of a quotient product (see
         ``ZeroMonoid._seam_keys``): let x, x' lie outside the ideal, with

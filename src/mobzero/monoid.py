@@ -195,11 +195,11 @@ class ZeroMonoid(ABC):
         listed in display order: as tuples, in increasing order.
 
         Every element of order n + 1 is reached from exactly one element
-        of order n, and that element divides it.  Extending a grade in
-        display order, word after word, lists the next grade in display
-        order: :meth:`grades` relies on that.  Both free bases extend a
-        word by appending one letter; :meth:`IdealSpec.contains_extension`
-        relies on that.
+        of order n, and that element divides it.  Each is ``word`` with
+        exactly one letter appended, and which letters are appended
+        depends only on the order and the :meth:`residue` of ``word``:
+        :meth:`grades` and :meth:`IdealSpec.contains_extension` rely on
+        that.
         """
         raise InfiniteGradeError(
             f"{self.describe()} cannot extend its elements")
@@ -226,22 +226,51 @@ class ZeroMonoid(ABC):
     def residue(self, word: Word):
         """What of ``word`` its extensions depend on.
 
-        Two elements of equal order and equal residue must have
-        ``extend`` lists whose residues agree as multisets, so that
-        counting elements needs one representative per residue and
-        grade.  The word itself always qualifies and merges nothing.
+        Two elements of equal order and equal residue must append the
+        same letters in :meth:`extend`, and each letter must lead both to
+        children of equal residue.  So one representative per residue
+        and grade stands for all the others: :meth:`grades` extends only
+        it, and ``hilbert_prefix`` counts by it.  Residues are compared
+        only within one order.  The word itself always qualifies and
+        merges nothing.
         """
         return word
 
     def grades(self, top: int) -> list:
         """The nonzero elements of each order 0..top, one list per order
-        in display order; ``[]`` when ``top`` is negative.  Each grade is
-        the extensions of the grade below."""
+        in display order; ``[]`` when ``top`` is negative.
+
+        Each grade is the extensions of the grade below, listed by
+        residue class (see :meth:`residue`): a grade is held as its
+        words and, in a parallel list, their residues.  The first word
+        of each residue is extended, and its *moves*, the appended
+        letter and the residue of each child, extend every other word
+        of that residue, with no ``extend`` or ``residue`` call per
+        word.  Each word's children follow in increasing letter order,
+        so the grade comes out in display order without a sort.  The
+        moves are found again for every grade, as residues are compared
+        only within one order.
+        """
         if top < 0:
             return []
-        out = [[()]]
+        extend = self.extend
+        residue = self.residue
+        words, keys = [()], [residue(())]
+        out = [words]
         for _ in range(top):
-            out.append([w for x in out[-1] for w in self.extend(x)])
+            moves = {}
+            above, above_keys = [], []
+            for word, key in zip(words, keys):
+                move = moves.get(key)
+                if move is None:
+                    children = extend(word)
+                    move = moves[key] = ([w[-1:] for w in children],
+                                         list(map(residue, children)))
+                tails, tail_keys = move
+                above += map(word.__add__, tails)
+                above_keys += tail_keys
+            words, keys = above, above_keys
+            out.append(words)
         return out
 
     def elements_of_order(self, n: int) -> list:
@@ -423,9 +452,13 @@ class ReesQuotient(ZeroMonoid):
     two-sided.  So every element is an extension of an element one order
     below, and :meth:`extend` keeps the base's extensions outside the
     ideal: a grade is built from the grade below, never from the whole
-    base grade.  For the same reason the factorizations of an element are
-    its base factorizations.  The identity and the order are the base's,
-    as they are those of every realization.
+    base grade.  The residue is the pair of the base's and the ideal's,
+    so two words of equal order and residue keep the same appended
+    letters, to children of equal residue, and the inherited
+    :meth:`grades` extends one word per residue class.  As the elements
+    are closed under divisors, the factorizations of an element are its
+    base factorizations.  The identity and the order are the base's, as
+    they are those of every realization.
 
     A product collapses when the base's does or when the ideal holds the
     base product, so each seam key is the ideal's residue on that side

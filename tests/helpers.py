@@ -14,8 +14,9 @@ word on its own, without the coefficient memo and the letter map of
 ``json.dumps`` encode the series object instead of writing the text of
 ``series_to_json`` in one pass, the element filter lists a grade by
 testing every word of the root base instead of extending the grade
-below, the filter counter counts every element instead of one word per
-residue class,
+below, the extension route lists a grade by extending every word of the
+grade below instead of one word per residue class, the filter counter
+counts every element instead of one word per residue class,
 the factorization filter tests both factors of every base factorization
 for membership in the quotient, the pair-by-pair product asks the
 monoid's own ``_mul`` about every term pair instead of deciding collapse
@@ -336,6 +337,18 @@ def elements_by_filter(m, n):
     else:
         words = itertools.product(range(k), repeat=n)
     return [w for w in words if m.contains(w)]
+
+
+def grades_by_extension(m, top):
+    """The nonzero elements of each order 0..top, one list per order
+    in display order: each grade is ``m.extend`` of every word of the
+    grade below, word after word, with no residue asked."""
+    if top < 0:
+        return []
+    out = [[()]]
+    for _ in range(top):
+        out.append([w for x in out[-1] for w in m.extend(x)])
+    return out
 
 
 def counts_by_filter(m, top):

@@ -1,17 +1,17 @@
-"""Grade enumeration by extending the grade below, checked against the
-filter over every word of the root base; residue classes, which
-``hilbert_prefix`` counts by, checked against that filter's counts;
-quotient factorizations checked against the filtered base
-factorizations; membership of extensions, tested at the suffix, checked
-against full membership; and the seam-key contract that lets the
-product kernel decide collapse once per pair of key classes, over the
-built-in ideals and over generated ideals with generators of mixed and
-random lengths."""
+"""Grade enumeration by residue class, checked against the filter over
+every word of the root base and against extending every word of the
+grade below; the residue contract that both ``grades`` and
+``hilbert_prefix`` rely on, and counts by residue class checked against
+the filter's counts; quotient factorizations checked against the
+filtered base factorizations; membership of extensions, tested at the
+suffix, checked against full membership; and the seam-key contract that
+lets the product kernel decide collapse once per pair of key classes,
+over the built-in ideals and over generated ideals with generators of
+mixed and random lengths."""
 
 import itertools
 import json
 import random
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,6 +32,8 @@ from mobzero import (
 from mobzero.cli import main
 
 from helpers import (
+    IdempotentMonoid,
+    InsertingMonoid,
     alphabet,
     builtin_quotients,
     commutative,
@@ -40,6 +42,7 @@ from helpers import (
     factorizations,
     factorizations_by_filter,
     free,
+    grades_by_extension,
     quotients_of_quotients,
     random_series,
     residue_monoids,
@@ -50,14 +53,43 @@ TOP = 7
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_equal_residues_have_equal_extension_residues(k):
+    """The residue contract ``grades`` relies on: every child is its
+    parent plus one letter, and words of equal order and residue append
+    the same letters, in the same order, to children of equal residue.
+    ``residue_monoids`` holds every built-in quotient and every quotient
+    of a quotient."""
     for seed in range(3):
         for m in residue_monoids(k, seed):
             first = {}
-            for n, grade in enumerate(m.grades(6)):
+            for n, grade in enumerate(grades_by_extension(m, 6)):
                 for word in grade:
-                    residues = Counter(map(m.residue, m.extend(word)))
-                    assert first.setdefault((n, m.residue(word)), residues) \
-                        == residues, (m.describe(), word)
+                    children = m.extend(word)
+                    assert all(child[:-1] == word for child in children), \
+                        (m.describe(), word)
+                    moves = [(child[-1:], m.residue(child))
+                             for child in children]
+                    assert first.setdefault((n, m.residue(word)), moves) \
+                        == moves, (m.describe(), word)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_grades_match_extension_of_every_word(k):
+    for seed in range(3):
+        for m in residue_monoids(k, seed):
+            assert m.grades(TOP) == grades_by_extension(m, TOP), m.describe()
+    for m in (IdempotentMonoid(), InsertingMonoid()):
+        assert m.grades(TOP) == grades_by_extension(m, TOP)
+
+
+def test_grades_trust_the_residue():
+    """A residue that merges words whose extensions differ lists wrong
+    grades: the residue classes are all the walk looks at."""
+    base = free(3)
+    q = ReesQuotient(base, GeneratedIdeal(base, [(0, 1)]))
+    expected = [elements_by_filter(q, n) for n in range(5)]
+    assert q.grades(4) == expected
+    q.ideal.residue = lambda word: 0
+    assert q.grades(4) != expected
 
 
 def assert_seam_keys_hold(m, top):
