@@ -29,8 +29,6 @@ from .monoid import (
     ZeroMonoid,
 )
 from .ideals import (
-    DegreeAtLeastIdeal,
-    EvPreimageIdeal,
     GeneratedIdeal,
     IdealSpec,
     MinLengthIdeal,

@@ -5,6 +5,14 @@ closed under multiplication by arbitrary words on either side.  The
 predicates are the data from which quotients with an absorbing zero are
 built; nothing in this module touches series.
 
+Three kinds are built in: the repeated-letter ideal, the generated
+ideals, and one order ideal, the words of order at least n
+(:class:`MinLengthIdeal`).  The order ideal is named for its base's
+words, min-length over letter sequences and degree-at-least over letter
+multisets.  The wire's ev-preimage of degree-at-least(d), the words
+whose letter counts have degree at least d, is the same ideal,
+min-length(d).
+
 Closure is a promise of the predicate, not something the constructors can
 see; the test suite probes it for every built-in kind over a finite range
 of orders.  Properness is checked when a quotient is built.
@@ -18,7 +26,7 @@ from functools import reduce
 from operator import getitem, itemgetter
 
 from .errors import SpecError
-from .monoid import FreeCommutativeMonoid, Word, ZeroMonoid
+from .monoid import Word, ZeroMonoid
 
 
 class IdealSpec(ABC):
@@ -115,21 +123,28 @@ class RepeatedLetterIdeal(IdealSpec):
     residue = left_residue = staticmethod(frozenset)
 
 
-class MinLengthIdeal(IdealSpec):
-    """Words of length at least a fixed bound n."""
+# the order ideal's kind over each word kind, and the name of its bound
+_ORDER_KINDS = {"sequence": ("min-length", "min-length bound"),
+                "multiset": ("degree-at-least", "degree bound")}
 
-    kind = "min-length"
-    word_kind = "sequence"
-    bound_name = "min-length bound"
+
+def _require_integer_bound(n, word_kind: str):
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise SpecError(
+            f"{_ORDER_KINDS[word_kind][1]} must be an integer, got {n!r}")
+
+
+class MinLengthIdeal(IdealSpec):
+    """Words of order at least a fixed bound n.  The order of a product
+    is the sum of its factors' orders, so this is an ideal of every base.
+    Its kind is named for the base's words: min-length over letter
+    sequences, degree-at-least over letter multisets."""
 
     def __init__(self, base: ZeroMonoid, n: int):
-        # checked before the word kind, so a description with a bad bound
-        # over the wrong base is reported for its bound
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise SpecError(f"{self.bound_name} must be an integer, got {n!r}")
-        _require_word_kind(base, self.kind, self.word_kind)
+        _require_integer_bound(n, base.word_kind)
+        self.kind, bound_name = _ORDER_KINDS[base.word_kind]
         if n < 1:
-            raise SpecError(f"{self.bound_name} must be at least 1, got {n}")
+            raise SpecError(f"{bound_name} must be at least 1, got {n}")
         super().__init__(base)
         self.n = n
 
@@ -145,7 +160,7 @@ class MinLengthIdeal(IdealSpec):
         return f"{self.kind}({self.n}) ideal"
 
     def _key(self):
-        return (self.kind, self.base, self.n)
+        return (self.base, self.n)
 
 
 class GeneratedIdeal(IdealSpec):
@@ -233,51 +248,3 @@ def _factor_automaton(generators, size: int):
             else:
                 row[letter] = shorter
     return root, dead
-
-
-class DegreeAtLeastIdeal(MinLengthIdeal):
-    """Commutative words of total degree at least a fixed bound n: the
-    length test, since a sorted letter tuple is as long as its degree."""
-
-    kind = "degree-at-least"
-    word_kind = "multiset"
-    bound_name = "degree bound"
-
-
-class EvPreimageIdeal(IdealSpec):
-    """Pullback of a commutative-side ideal along letter-count abelianization.
-
-    A word belongs exactly when its letter multiset, the word of the
-    inner base with the same letters, lies in the inner ideal.  Closure
-    is inherited: the count map is multiplicative.
-    """
-
-    kind = "ev-preimage"
-
-    def __init__(self, base: ZeroMonoid, inner: IdealSpec):
-        _require_word_kind(base, self.kind)
-        if not isinstance(inner.base, FreeCommutativeMonoid):
-            raise SpecError(
-                "ev-preimage needs an inner ideal over a free commutative "
-                f"monoid, got one over {inner.base.describe()}")
-        if inner.base.alphabet() != base.alphabet():
-            raise SpecError(
-                "ev-preimage inner ideal must share the base alphabet: "
-                f"{base.alphabet()!r} vs {inner.base.alphabet()!r}")
-        super().__init__(base)
-        self.inner = inner
-        self._image = inner.base._from_indices
-
-    def contains(self, word: Word) -> bool:
-        return self.inner.contains(self._image(word))
-
-    def residue(self, word: Word):
-        return self._image(word)
-
-    left_residue = residue
-
-    def describe(self) -> str:
-        return f"ev-preimage({self.inner.describe()})"
-
-    def _key(self):
-        return (self.kind, self.base, self.inner)

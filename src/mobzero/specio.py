@@ -11,7 +11,7 @@ ideal       {"kind": "repeated-letter"}
             {"kind": "min-length", "n": 3}
             {"kind": "generated", "words": [["c"], ["a", "b"]]}
             {"kind": "degree-at-least", "d": 2}
-            {"kind": "ev-preimage", "inner": {...}}
+            {"kind": "ev-preimage", "inner": {...}}   (read as min-length(d))
 series      {"truncation": 8, "terms": [["1", []], ["-1", ["a"]]]}
 
 Series coefficients travel as decimal strings (ASCII digits with an
@@ -43,12 +43,12 @@ from fractions import Fraction
 
 from .errors import SpecError
 from .ideals import (
-    DegreeAtLeastIdeal,
-    EvPreimageIdeal,
     GeneratedIdeal,
     IdealSpec,
     MinLengthIdeal,
     RepeatedLetterIdeal,
+    _require_integer_bound,
+    _require_word_kind,
 )
 from .monoid import (
     Alphabet,
@@ -134,8 +134,17 @@ def parse_ideal(obj: dict, base: ZeroMonoid) -> IdealSpec:
     kind = _field(obj, "kind", "ideal")
     if kind == "repeated-letter":
         return RepeatedLetterIdeal(base)
-    if kind == "min-length":
-        return MinLengthIdeal(base, _field(obj, "n", "min-length ideal"))
+    if kind in ("min-length", "degree-at-least"):
+        # one ideal, the words of order at least n, spelled for the base's
+        # word kind; a bound that is not an integer is reported before a
+        # base of the other kind, and one below 1 after it
+        word_kind, name = (("sequence", "n") if kind == "min-length"
+                           else ("multiset", "d"))
+        n = _field(obj, name, f"{kind} ideal")
+        if base.word_kind != word_kind:
+            _require_integer_bound(n, word_kind)
+            _require_word_kind(base, kind, word_kind)
+        return MinLengthIdeal(base, n)
     if kind == "generated":
         raw = _field(obj, "words", "generated ideal")
         if not isinstance(raw, list):
@@ -145,13 +154,13 @@ def parse_ideal(obj: dict, base: ZeroMonoid) -> IdealSpec:
         return GeneratedIdeal(
             base, (base.word_from_letters(_letters(entry, "a generator"))
                    for entry in raw))
-    if kind == "degree-at-least":
-        return DegreeAtLeastIdeal(base,
-                                  _field(obj, "d", "degree-at-least ideal"))
     if kind == "ev-preimage":
+        # the commutative base admits only degree-at-least(d), whose
+        # pullback along the letter counts is min-length(d)
         inner_obj = _field(obj, "inner", "ev-preimage ideal")
-        inner_base = FreeCommutativeMonoid(base.alphabet())
-        return EvPreimageIdeal(base, parse_ideal(inner_obj, inner_base))
+        inner = parse_ideal(inner_obj, FreeCommutativeMonoid(base.alphabet()))
+        _require_word_kind(base, kind)
+        return MinLengthIdeal(base, inner.n)
     raise SpecError(f"unknown ideal kind {kind!r}")
 
 

@@ -51,8 +51,6 @@ import random
 
 from mobzero import (
     Alphabet,
-    DegreeAtLeastIdeal,
-    EvPreimageIdeal,
     FreeCommutativeMonoid,
     FreeMonoid,
     GeneratedIdeal,
@@ -73,6 +71,7 @@ from mobzero import (
     cauchy_product,
     characteristic_series,
     first_difference,
+    parse_ideal,
     phi,
     section,
     star,
@@ -109,19 +108,20 @@ def builtin_monoids(k):
         c,
         ReesQuotient(f, RepeatedLetterIdeal(f)),
         ReesQuotient(f, MinLengthIdeal(f, 3)),
-        ReesQuotient(c, DegreeAtLeastIdeal(c, 3)),
+        ReesQuotient(c, MinLengthIdeal(c, 3)),
     ]
 
 
 def builtin_free_ideals(base):
-    """Every built-in ideal kind applicable to a free base."""
-    inner_base = FreeCommutativeMonoid(base.alphabet())
+    """Every built-in ideal kind applicable to a free base; the last is
+    the wire's ev-preimage(degree-at-least(2)), read as min-length(2)."""
     last_letter = (len(base.alphabet()) - 1,)
     return [
         RepeatedLetterIdeal(base),
         MinLengthIdeal(base, 3),
         GeneratedIdeal(base, [last_letter]),
-        EvPreimageIdeal(base, DegreeAtLeastIdeal(inner_base, 2)),
+        parse_ideal({"kind": "ev-preimage",
+                     "inner": {"kind": "degree-at-least", "d": 2}}, base),
     ]
 
 
@@ -477,7 +477,7 @@ def builtin_quotients(k, seed):
     out = [ReesQuotient(base, ideal) for ideal in ideals]
     c = commutative(k)
     for d in (1, 3, 5):
-        out.append(ReesQuotient(c, DegreeAtLeastIdeal(c, d)))
+        out.append(ReesQuotient(c, MinLengthIdeal(c, d)))
     return out
 
 
@@ -515,12 +515,10 @@ class FirstAndLastLetterIdeal(IdealSpec):
 def residue_monoids(k, seed):
     """Every realization that defines or passes on a residue, over k
     letters: the bases, every built-in quotient, quotients of quotients,
-    and quotients by an ideal with the default residue, directly and
-    pulled back along the letter counts."""
-    inner = FirstAndLastLetterIdeal(commutative(k))
+    and a quotient by an ideal with the default residue."""
+    ideal = FirstAndLastLetterIdeal(commutative(k))
     quotients = (builtin_quotients(k, seed) + quotients_of_quotients(k, seed)
-                 + [ReesQuotient(commutative(k), inner),
-                    ReesQuotient(free(k), EvPreimageIdeal(free(k), inner))])
+                 + [ReesQuotient(commutative(k), ideal)])
     return [free(k), commutative(k)] + quotients
 
 

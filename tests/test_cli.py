@@ -412,6 +412,28 @@ def test_deeply_nested_description_exits_one(capsys):
     assert err == "error: the description is nested too deeply\n"
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("hilbert", ()), ("count", ()), ("mobius", ()),
+    ("verify", ("--format", "json")),
+])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_ev_preimage_and_min_length_print_the_same(capsys, command, extra,
+                                                   d):
+    # the pullback of degree-at-least(d) is min-length(d), so the two
+    # spellings give the same output byte for byte
+    outs = []
+    for ideal in ({"kind": "ev-preimage",
+                   "inner": {"kind": "degree-at-least", "d": d}},
+                  {"kind": "min-length", "n": d}):
+        monoid = json.dumps({"type": "rees", "base": {
+            "type": "free", "alphabet": ["a", "b", "c"]}, "ideal": ideal})
+        code, out, err = run(capsys, command, "--monoid", monoid,
+                             "--order", "5", *extra)
+        assert (code, err) == (0, "")
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
 COMM_DEG3 = ('{"type": "rees", "base": {"type": "free-commutative", '
              '"alphabet": ["a", "b"]}, '
              '"ideal": {"kind": "degree-at-least", "d": 3}}')

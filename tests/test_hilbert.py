@@ -4,7 +4,6 @@ import random
 import pytest
 
 from mobzero import (
-    DegreeAtLeastIdeal,
     GeneratedIdeal,
     MinLengthIdeal,
     ReesQuotient,
@@ -134,7 +133,7 @@ def test_far_free_and_commutative_counts():
         binomials = tuple(math.comb(n + k - 1, k - 1) for n in range(FAR + 1))
         c = commutative(k)
         assert hilbert_prefix(c, FAR) == binomials
-        m = ReesQuotient(c, DegreeAtLeastIdeal(c, 40))
+        m = ReesQuotient(c, MinLengthIdeal(c, 40))
         assert hilbert_prefix(m, FAR) == tuple(
             b if n < 40 else 0 for n, b in enumerate(binomials))
 
@@ -173,7 +172,7 @@ def test_ideal_empty_at_degree_zero():
 
 def test_relation_requires_free_base():
     cbase = commutative(2)
-    q = ReesQuotient(cbase, DegreeAtLeastIdeal(cbase, 2))
+    q = ReesQuotient(cbase, MinLengthIdeal(cbase, 2))
     with pytest.raises(SpecError):
         check_hilbert_relation(q, 4)
     with pytest.raises(ValueError):

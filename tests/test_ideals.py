@@ -4,14 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mobzero import (
-    DegreeAtLeastIdeal,
-    EvPreimageIdeal,
     GeneratedIdeal,
     IdealSpec,
     MinLengthIdeal,
     ReesQuotient,
     RepeatedLetterIdeal,
     SpecError,
+    parse_ideal,
 )
 
 from helpers import (
@@ -47,22 +46,20 @@ def test_min_length_membership():
 
 
 def test_min_length_bound_validated():
-    with pytest.raises(SpecError):
+    with pytest.raises(SpecError, match="^min-length bound must be at least"):
         MinLengthIdeal(free(2), 0)
-    with pytest.raises(SpecError):
-        MinLengthIdeal(commutative(2), 2)
 
 
-@pytest.mark.parametrize("cls, base, bound", [
-    (MinLengthIdeal, free(2), 2.5),
-    (MinLengthIdeal, free(2), True),
-    (MinLengthIdeal, free(2), "3"),
-    (DegreeAtLeastIdeal, commutative(2), 1.5),
-    (DegreeAtLeastIdeal, commutative(2), "3"),
+@pytest.mark.parametrize("base, bound, name", [
+    (free(2), 2.5, "min-length"),
+    (free(2), True, "min-length"),
+    (free(2), "3", "min-length"),
+    (commutative(2), 1.5, "degree"),
+    (commutative(2), "3", "degree"),
 ], ids=["float", "bool", "str", "degree-float", "degree-str"])
-def test_length_bound_must_be_an_integer(cls, base, bound):
-    with pytest.raises(SpecError, match="must be an integer"):
-        cls(base, bound)
+def test_length_bound_must_be_an_integer(base, bound, name):
+    with pytest.raises(SpecError, match=f"^{name} bound must be an integer"):
+        MinLengthIdeal(base, bound)
 
 
 def test_generated_factor_containment():
@@ -136,25 +133,29 @@ def test_generated_empty_word_caught_by_validation():
 
 
 def test_degree_at_least_membership():
+    # the order ideal over a commutative base is named for its multisets
     base = commutative(2)
-    ideal = DegreeAtLeastIdeal(base, 2)
+    ideal = MinLengthIdeal(base, 2)
     assert ideal.contains(w(base, "aa"))
     assert ideal.contains(w(base, "ba"))
     assert not ideal.contains(w(base, "b"))
     assert not ideal.contains(())
+    assert ideal.describe() == "degree-at-least(2) ideal"
 
 
 def test_degree_at_least_validation():
-    with pytest.raises(SpecError):
-        DegreeAtLeastIdeal(free(2), 2)
-    with pytest.raises(SpecError):
-        DegreeAtLeastIdeal(commutative(2), 0)
+    with pytest.raises(SpecError, match="^degree bound must be at least"):
+        MinLengthIdeal(commutative(2), 0)
+
+
+def ev_preimage(base, d):
+    return parse_ideal({"kind": "ev-preimage",
+                        "inner": {"kind": "degree-at-least", "d": d}}, base)
 
 
 def test_ev_preimage_membership():
     base = free(3)
-    inner = DegreeAtLeastIdeal(commutative(3), 2)
-    ideal = EvPreimageIdeal(base, inner)
+    ideal = ev_preimage(base, 2)
     assert ideal.contains(w(base, "ab"))
     assert ideal.contains(w(base, "aa"))
     assert not ideal.contains(w(base, "a"))
@@ -162,9 +163,10 @@ def test_ev_preimage_membership():
 
 
 def test_ev_preimage_consistency_exhaustive():
+    # the pullback of degree-at-least(3) along the letter counts
     base = free(2)
-    inner = DegreeAtLeastIdeal(commutative(2), 3)
-    ideal = EvPreimageIdeal(base, inner)
+    inner = MinLengthIdeal(commutative(2), 3)
+    ideal = ev_preimage(base, 3)
     for n in range(7):
         for word in base.elements_of_order(n):
             assert ideal.contains(word) == inner.contains(
@@ -172,14 +174,14 @@ def test_ev_preimage_consistency_exhaustive():
 
 
 def test_ev_preimage_base_compatibility():
-    with pytest.raises(SpecError):
-        EvPreimageIdeal(free(2), DegreeAtLeastIdeal(commutative(3), 2))
-    with pytest.raises(SpecError):
-        # inner must be commutative-based
-        EvPreimageIdeal(free(2), MinLengthIdeal(free(2), 2))
-    with pytest.raises(SpecError):
-        EvPreimageIdeal(commutative(2),
-                        DegreeAtLeastIdeal(commutative(2), 2))
+    # the inner ideal is read over the commutative base, and the outer
+    # base must have letter sequences
+    inner_min_length = {"kind": "ev-preimage",
+                        "inner": {"kind": "min-length", "n": 2}}
+    with pytest.raises(SpecError, match="^min-length ideal needs"):
+        parse_ideal(inner_min_length, free(2))
+    with pytest.raises(SpecError, match="^ev-preimage ideal needs"):
+        ev_preimage(commutative(2), 2)
 
 
 def test_ideal_equality_and_hash():
@@ -188,6 +190,7 @@ def test_ideal_equality_and_hash():
     assert MinLengthIdeal(base, 2) != MinLengthIdeal(base, 3)
     assert len({RepeatedLetterIdeal(base), RepeatedLetterIdeal(base)}) == 1
     assert RepeatedLetterIdeal(base) != MinLengthIdeal(base, 2)
+    assert MinLengthIdeal(base, 2) != MinLengthIdeal(commutative(2), 2)
 
 
 def test_validate_ideal_passes_builtins():
@@ -197,7 +200,7 @@ def test_validate_ideal_passes_builtins():
             report = validate_ideal(ideal, 5)
             assert report.passed, (ideal.describe(), report.counterexample)
     comm = commutative(3)
-    assert validate_ideal(DegreeAtLeastIdeal(comm, 2), 5).passed
+    assert validate_ideal(MinLengthIdeal(comm, 2), 5).passed
 
 
 def test_validate_ideal_absorption_deeper():
@@ -235,5 +238,3 @@ def test_contains_is_cheap_on_long_words():
     assert MinLengthIdeal(base, 3).contains(long_word)
     assert RepeatedLetterIdeal(base).contains(long_word)
     assert GeneratedIdeal(base, [w(base, "ba")]).contains(long_word)
-    inner = DegreeAtLeastIdeal(commutative(2), 10)
-    assert EvPreimageIdeal(base, inner).contains(long_word)

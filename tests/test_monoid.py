@@ -5,12 +5,12 @@ import pytest
 
 from mobzero import (
     Alphabet,
-    DegreeAtLeastIdeal,
     FreeCommutativeMonoid,
     FreeMonoid,
     GeneratedIdeal,
     InfiniteGradeError,
     MembershipError,
+    MinLengthIdeal,
     ReesQuotient,
     Report,
     RepeatedLetterIdeal,
@@ -123,7 +123,7 @@ def test_free_equality_and_describe():
 def test_free_bases_and_their_quotients_describe_and_repr():
     fm, cm = free(2), commutative(2)
     fq = ReesQuotient(fm, RepeatedLetterIdeal(fm))
-    cq = ReesQuotient(cm, DegreeAtLeastIdeal(cm, 3))
+    cq = ReesQuotient(cm, MinLengthIdeal(cm, 3))
     assert [(m.describe(), repr(m)) for m in (fm, cm, fq, cq)] == [
         ("free monoid on {a, b}", "FreeMonoid(['a', 'b'])"),
         ("free commutative monoid on {a, b}",
@@ -134,7 +134,7 @@ def test_free_bases_and_their_quotients_describe_and_repr():
         ("Rees quotient of free commutative monoid on {a, b} "
          "by degree-at-least(3) ideal",
          "ReesQuotient(FreeCommutativeMonoid(['a', 'b']), "
-         "<DegreeAtLeastIdeal over free commutative monoid on {a, b}>)"),
+         "<MinLengthIdeal over free commutative monoid on {a, b}>)"),
     ]
 
 
@@ -318,10 +318,10 @@ def kernel_monoids(k):
     letters, and quotients of quotients over both kinds of base."""
     words = standard_words(k)
     degree = ReesQuotient(commutative(k),
-                          DegreeAtLeastIdeal(commutative(k), 5))
+                          MinLengthIdeal(commutative(k), 5))
     return builtin_monoids(k) + [
         ReesQuotient(words, GeneratedIdeal(words, [(k - 1, 0)])),
-        ReesQuotient(degree, DegreeAtLeastIdeal(degree, 4)),
+        ReesQuotient(degree, MinLengthIdeal(degree, 4)),
     ]
 
 

@@ -3,8 +3,6 @@ import random
 import pytest
 
 from mobzero import (
-    DegreeAtLeastIdeal,
-    EvPreimageIdeal,
     GeneratedIdeal,
     MinLengthIdeal,
     MonoidMismatchError,
@@ -16,6 +14,7 @@ from mobzero import (
     characteristic_series,
     check_mobius_transfer,
     mobius_series,
+    parse_ideal,
     phi,
     section,
 )
@@ -251,8 +250,9 @@ def test_transfer_generated_ideal_drops_letter():
 
 def test_transfer_ev_preimage():
     base = free(3)
-    inner = DegreeAtLeastIdeal(commutative(3), 2)
-    q = ReesQuotient(base, EvPreimageIdeal(base, inner))
+    q = ReesQuotient(base, parse_ideal(
+        {"kind": "ev-preimage",
+         "inner": {"kind": "degree-at-least", "d": 2}}, base))
     assert check_mobius_transfer(q, 6).passed
     assert mobius_series(q, 6) == \
         S(q, 6, [(1, ""), (-1, "a"), (-1, "b"), (-1, "c")])
@@ -263,5 +263,5 @@ def test_transfer_min_length_and_degree():
     q = ReesQuotient(base, MinLengthIdeal(base, 3))
     assert check_mobius_transfer(q, 6).passed
     cbase = commutative(2)
-    cq = ReesQuotient(cbase, DegreeAtLeastIdeal(cbase, 3))
+    cq = ReesQuotient(cbase, MinLengthIdeal(cbase, 3))
     assert check_mobius_transfer(cq, 6).passed

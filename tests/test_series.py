@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from mobzero import (
     INTEGERS,
     AlgebraError,
-    DegreeAtLeastIdeal,
     FreeCommutativeMonoid,
     FreeMonoid,
     GeneratedIdeal,
@@ -777,9 +776,9 @@ def test_closed_form_matches_both_oracles(ring, truncation):
 
 def test_no_closed_form_on_the_commutative_base():
     c = commutative(3)
-    inner = ReesQuotient(c, DegreeAtLeastIdeal(c, 5))
-    for m in (c, inner, ReesQuotient(c, DegreeAtLeastIdeal(c, 3)),
-              ReesQuotient(inner, DegreeAtLeastIdeal(inner, 3))):
+    inner = ReesQuotient(c, MinLengthIdeal(c, 5))
+    for m in (c, inner, ReesQuotient(c, MinLengthIdeal(c, 3)),
+              ReesQuotient(inner, MinLengthIdeal(inner, 3))):
         assert m._mobius_terms(8) is None, m.describe()
 
 

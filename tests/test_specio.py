@@ -9,8 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from mobzero import (
     Alphabet,
-    DegreeAtLeastIdeal,
-    EvPreimageIdeal,
     FreeCommutativeMonoid,
     FreeMonoid,
     GeneratedIdeal,
@@ -87,8 +85,41 @@ def test_parse_rees_over_ev_preimage():
         "ideal": {"kind": "ev-preimage",
                   "inner": {"kind": "degree-at-least", "d": 2}},
     })
-    assert m == ReesQuotient(base, EvPreimageIdeal(
-        base, DegreeAtLeastIdeal(FreeCommutativeMonoid(base.alphabet()), 2)))
+    assert m == ReesQuotient(base, MinLengthIdeal(base, 2))
+
+
+FREE_ABC = {"type": "free", "alphabet": ["a", "b", "c"]}
+GEN_AB = {"type": "rees", "base": FREE_ABC,
+          "ideal": {"kind": "generated", "words": [["a", "b"]]}}
+
+
+def ev_preimage(d):
+    return {"kind": "ev-preimage",
+            "inner": {"kind": "degree-at-least", "d": d}}
+
+
+@pytest.mark.parametrize("base", [FREE_ABC, GEN_AB], ids=["free", "gen-ab"])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_ev_preimage_spells_min_length(base, d):
+    # the pullback of degree-at-least(d) along the letter counts is the
+    # order ideal min-length(d), over a free base or a quotient of one
+    m = parse_monoid(base)
+    assert parse_ideal(ev_preimage(d), m) == MinLengthIdeal(m, d)
+    spelled = [parse_monoid({"type": "rees", "base": base, "ideal": ideal})
+               for ideal in (ev_preimage(d), {"kind": "min-length", "n": d})]
+    assert spelled[0] == spelled[1]
+    assert hash(spelled[0]) == hash(spelled[1])
+
+
+def test_ev_preimage_residue_is_one_per_grade():
+    # membership of an extension depends only on its order, so one word
+    # stands for its whole grade, not one per letter multiset
+    q = parse_monoid({"type": "rees", "base": FREE_ABC,
+                      "ideal": ev_preimage(4)})
+    grades = q.grades(4)
+    assert [len(grade) for grade in grades] == [1, 3, 9, 27, 0]
+    for grade in grades:
+        assert len({q.residue(w) for w in grade}) <= 1
 
 
 def test_parse_rejects_unknown_type():
@@ -129,8 +160,7 @@ def test_parse_each_ideal_kind():
         ({"kind": "generated", "words": [["c"], ["a", "b"]]},
          GeneratedIdeal(base, [(2,), (0, 1)])),
         ({"kind": "ev-preimage", "inner": {"kind": "degree-at-least", "d": 2}},
-         EvPreimageIdeal(base, DegreeAtLeastIdeal(
-             FreeCommutativeMonoid(base.alphabet()), 2))),
+         MinLengthIdeal(base, 2)),
     ]
     for obj, expected in cases:
         assert parse_ideal(obj, base) == expected
@@ -260,7 +290,7 @@ def writer_monoids():
     comm_base = FreeCommutativeMonoid(escaped)
     return out + [free_base, comm_base,
                   ReesQuotient(free_base, RepeatedLetterIdeal(free_base)),
-                  ReesQuotient(comm_base, DegreeAtLeastIdeal(comm_base, 3))]
+                  ReesQuotient(comm_base, MinLengthIdeal(comm_base, 3))]
 
 
 @pytest.mark.parametrize("ring, scale", [
@@ -290,6 +320,64 @@ def test_parse_ideal_rejects_bool_bounds(bound):
         parse_ideal({"kind": "min-length", "n": bound}, free(2))
     with pytest.raises(SpecError):
         parse_ideal({"kind": "degree-at-least", "d": bound}, commutative(2))
+
+
+COMM_AB = {"type": "free-commutative", "alphabet": ["a", "b"]}
+FREE_AB = {"type": "free", "alphabet": ["a", "b"]}
+COMM_DEG5 = {"type": "rees", "base": COMM_AB,
+             "ideal": {"kind": "degree-at-least", "d": 5}}
+GEN_BA = {"type": "rees", "base": FREE_AB,
+          "ideal": {"kind": "generated", "words": [["b", "a"]]}}
+SEQUENCES = "min-length ideal needs a monoid whose words are letter sequences"
+MULTISETS = ("degree-at-least ideal needs a monoid whose words are letter "
+             "multisets")
+
+
+@pytest.mark.parametrize("ideal, base, message", [
+    ({"kind": "min-length", "n": bound}, base, message)
+    for base, described in [
+        (COMM_AB, "free commutative monoid on {a, b}"),
+        (COMM_DEG5, "Rees quotient of free commutative monoid on {a, b} "
+                    "by degree-at-least(5) ideal")]
+    for bound, message in [
+        ("x", "min-length bound must be an integer, got 'x'"),
+        (2.5, "min-length bound must be an integer, got 2.5"),
+        (True, "min-length bound must be an integer, got True"),
+        (None, "min-length bound must be an integer, got None"),
+        (0, f"{SEQUENCES}, got {described}"),
+        (-1, f"{SEQUENCES}, got {described}")]
+] + [
+    ({"kind": "degree-at-least", "d": bound}, base, message)
+    for base, described in [
+        (FREE_AB, "free monoid on {a, b}"),
+        (GEN_BA, "Rees quotient of free monoid on {a, b} by generated(ba) "
+                 "ideal")]
+    for bound, message in [
+        ("x", "degree bound must be an integer, got 'x'"),
+        (2.5, "degree bound must be an integer, got 2.5"),
+        (True, "degree bound must be an integer, got True"),
+        (None, "degree bound must be an integer, got None"),
+        (0, f"{MULTISETS}, got {described}"),
+        (-1, f"{MULTISETS}, got {described}")]
+] + [
+    # the inner ideal is read over the commutative base before the outer
+    # base's word kind is checked
+    ({"kind": "ev-preimage", "inner": {"kind": "min-length", "n": "x"}},
+     FREE_AB, "min-length bound must be an integer, got 'x'"),
+    ({"kind": "ev-preimage", "inner": {"kind": "min-length", "n": 0}},
+     FREE_AB, f"{SEQUENCES}, got free commutative monoid on {{a, b}}"),
+    ({"kind": "ev-preimage", "inner": {"kind": "degree-at-least", "d": 0}},
+     COMM_AB, "degree bound must be at least 1, got 0"),
+    ({"kind": "ev-preimage", "inner": {"kind": "degree-at-least", "d": "x"}},
+     COMM_AB, "degree bound must be an integer, got 'x'"),
+])
+def test_order_ideal_reports_a_bad_bound_before_the_wrong_base(
+        ideal, base, message):
+    # a bound that is not an integer is named under the spelled kind,
+    # before a base of the other word kind; one below 1 only after it
+    with pytest.raises(SpecError) as err:
+        parse_ideal(ideal, parse_monoid(base))
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("truncation", [True, False])
