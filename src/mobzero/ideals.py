@@ -123,9 +123,11 @@ class RepeatedLetterIdeal(IdealSpec):
     residue = left_residue = staticmethod(frozenset)
 
 
-# the order ideal's kind over each word kind, and the name of its bound
+# the order ideal's kind over each word kind, and the name of its bound;
+# a base that declares no word kind reads it as min-length
 _ORDER_KINDS = {"sequence": ("min-length", "min-length bound"),
                 "multiset": ("degree-at-least", "degree bound")}
+_ORDER_KINDS[None] = _ORDER_KINDS["sequence"]
 
 
 def _require_integer_bound(n, word_kind: str):

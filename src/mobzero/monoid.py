@@ -167,9 +167,9 @@ class ZeroMonoid(ABC):
     themselves, which is exact and merges nothing.
     """
 
-    # "sequence" words multiply by concatenation, "multiset" words by
-    # merging; ideals use this to check they apply to a compatible base
-    word_kind: str
+    # "sequence" words concatenate, "multiset" words merge, and None is
+    # neither; ideals use this to check they apply to a compatible base
+    word_kind = None
 
     @abstractmethod
     def alphabet(self) -> Alphabet:
@@ -294,21 +294,18 @@ class ZeroMonoid(ABC):
         :class:`MembershipError`, naming the letters as given, when the
         spelled word is not an element.
         """
-        word = self._from_indices(self.alphabet().spell(names))
-        if self._collapses(word):
+        word = self._element(self.alphabet().spell(names))
+        if word is None:
             raise MembershipError(
                 f"{names!r} is not an element of {self.describe()}")
         return word
 
-    # The word of the root base whose letters have the given alphabet
-    # indices; any iterable of indices will do.  A sequence word is the
-    # index tuple itself; a multiset word sorts it.
-    _from_indices = staticmethod(tuple)
-
-    def _collapses(self, word: Word) -> bool:
-        """Whether a word of the root base lies in an ideal collapsed
-        to zero here: the only way it can fail to be an element."""
-        return False
+    def _element(self, indices):
+        """The element whose letters have the given alphabet indices, any
+        iterable of them, or None when they spell no element.  By default
+        the index tuple itself, kept when :meth:`contains` accepts it."""
+        word = tuple(indices)
+        return word if self.contains(word) else None
 
     def render_word(self, word: Word) -> str:
         if not word:
@@ -371,8 +368,9 @@ class FreeMonoid(_FreeBase):
     word_kind = "sequence"
     name = "free monoid"
 
-    # a C builtin: the product loops call it with no Python frame
+    # C builtins: no Python frame in the product loops or the series reader
     _mul = _root_mul = staticmethod(operator.add)
+    _element = staticmethod(tuple)
 
     def grades(self, top):
         # itertools.product builds a grade in C, some 4x faster than extend
@@ -438,7 +436,7 @@ class FreeCommutativeMonoid(_FreeBase):
         return pairs
 
     @staticmethod
-    def _from_indices(indices):
+    def _element(indices):
         return tuple(sorted(indices))
 
 
@@ -478,10 +476,8 @@ class ReesQuotient(ZeroMonoid):
         self.base = base
         self.ideal = ideal
         self.word_kind = base.word_kind
-        # The base's own callables, bound so that the surviving products
-        # of the product loops and the series reader call the base's
-        # kernel directly, a C builtin over a free base.
-        self._from_indices = base._from_indices
+        # only the base's product is bound, so that the product loops form
+        # a surviving product with its kernel, a C builtin over a free base
         self._root_mul = base._root_mul
         keys = ideal.residue, ideal.left_residue
         if base._seam_keys is not None:
@@ -504,8 +500,9 @@ class ReesQuotient(ZeroMonoid):
         inside = self.ideal.contains_extension
         return [w for w in self.base.extend(word) if not inside(w)]
 
-    def _collapses(self, word):
-        return self.base._collapses(word) or self.ideal.contains(word)
+    def _element(self, indices):
+        word = self.base._element(indices)
+        return None if word is None or self.ideal.contains(word) else word
 
     def _mobius_terms(self, top):
         # phi is a ring morphism carrying the base's zeta onto this one's,

@@ -182,22 +182,22 @@ def parse_series(obj: dict, monoid: ZeroMonoid, ring: Ring = INTEGERS,
     zeros = []  # words with a zero coefficient, dropped after the last term
     coefficients = {}  # each distinct wire coefficient, parsed once
     index = monoid.alphabet()._index.__getitem__
-    from_indices, collapses = monoid._from_indices, monoid._collapses
+    element = monoid._element
     zero = ring.zero
     for entry in raw_terms:
         # A term whose coefficient was parsed before and whose letters are
         # all in the alphabet costs one map and a few dict lookups; a
         # non-string misses the string keys or cannot be hashed.  Every
-        # other term, and every word in an ideal, takes the strict route,
-        # which raises the error the term deserves.
+        # other term, and every word that spells no element, takes the
+        # strict route, which raises the error the term deserves.
         word = None
         if type(entry) is list and len(entry) == 2 and type(entry[1]) is list:
             try:
                 coeff = coefficients[entry[0]]
-                word = from_indices(map(index, entry[1]))
+                word = element(map(index, entry[1]))
             except (KeyError, TypeError):
                 pass
-        if word is None or collapses(word):
+        if word is None:
             coeff, word = _read_term(entry, monoid, ring, coefficients)
         if len(word) > truncation:
             raise SpecError(

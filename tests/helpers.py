@@ -522,11 +522,11 @@ def residue_monoids(k, seed):
     return [free(k), commutative(k)] + quotients
 
 
-class IdempotentMonoid(ZeroMonoid):
-    """One letter with a*a = a; its order is the word length, as in every
+class BareIdempotentMonoid(ZeroMonoid):
+    """One letter with a*a = a, defined by ``alphabet``, ``contains`` and
+    ``_mul`` alone: every other hook, ``word_kind`` and ``_element`` among
+    them, is the default.  Its order is the word length, as in every
     realization, so the order of a*a is 1, not 2."""
-
-    word_kind = "sequence"
 
     def alphabet(self):
         return alphabet(1)
@@ -536,6 +536,12 @@ class IdempotentMonoid(ZeroMonoid):
 
     def _mul(self, x, y):
         return (0,) if (x or y) else ()
+
+
+class IdempotentMonoid(BareIdempotentMonoid):
+    """The same monoid over letter sequences, with its grades."""
+
+    word_kind = "sequence"
 
     def extend(self, word):
         return [(0,)] if word == () else []

@@ -14,8 +14,8 @@ from mobzero import (
 )
 
 from helpers import (
-    builtin_free_ideals, commutative, commutative_image, contains_by_windows,
-    free, validate_ideal, vector_word)
+    BareIdempotentMonoid, builtin_free_ideals, commutative, commutative_image,
+    contains_by_windows, free, validate_ideal, vector_word)
 
 
 def w(m, text):
@@ -34,6 +34,27 @@ def test_repeated_letter_membership():
 def test_repeated_letter_needs_sequence_base():
     with pytest.raises(SpecError):
         RepeatedLetterIdeal(commutative(2))
+
+
+def test_ideals_over_a_base_that_declares_no_word_kind():
+    # word_kind defaults to None: the order ideal reads it as min-length,
+    # and the ideals over letter sequences refuse it as usual
+    base = BareIdempotentMonoid()
+    assert base.word_kind is None
+    ideal = MinLengthIdeal(base, 2)
+    assert ideal.describe() == "min-length(2) ideal"
+    assert ideal.contains((0, 0)) and not ideal.contains((0,))
+    with pytest.raises(SpecError, match="^min-length bound must be at least"):
+        MinLengthIdeal(base, 0)
+    with pytest.raises(SpecError,
+                       match="^min-length bound must be an integer"):
+        MinLengthIdeal(base, 2.0)
+    for kind, make in (("repeated-letter", RepeatedLetterIdeal),
+                       ("generated", lambda b: GeneratedIdeal(b, [(0,)]))):
+        with pytest.raises(SpecError, match=(
+                f"^{kind} ideal needs a monoid whose words are letter "
+                f"sequences, got ")):
+            make(base)
 
 
 def test_min_length_membership():

@@ -55,7 +55,7 @@ def test_every_import_is_used(path):
 AWAITING_A_READER = {
     "RATIONALS": "item 4, the --ring option",
     "IntegerModRing": "item 4, the --ring option",
-    "section": "item 7, the product-transfer check in verify",
+    "section": "item 8, the product-transfer check in verify",
 }
 
 

@@ -21,9 +21,10 @@ from mobzero import (
 )
 
 from helpers import (
-    IdempotentMonoid, InsertingMonoid, add_vectors, alphabet, builtin_monoids,
-    commutative, commutative_image, elements_by_filter, factorizations, free,
-    residue_monoids, standard_words, validate_locally_finite, vector_word)
+    BareIdempotentMonoid, IdempotentMonoid, InsertingMonoid, add_vectors,
+    alphabet, builtin_monoids, commutative, commutative_image,
+    elements_by_filter, factorizations, free, residue_monoids, standard_words,
+    validate_locally_finite, vector_word)
 
 
 def words(m, texts):
@@ -246,6 +247,34 @@ def test_rees_membership_excludes_ideal():
     assert not m.contains((0, 0))  # aa is collapsed
     with pytest.raises(MembershipError):
         m.word_from_letters(["a", "a"])
+
+
+# -- _element: the one hook that reads a word -------------------------------
+
+def test_word_from_letters_refuses_a_non_element_of_a_bare_realization():
+    # a*a = a, so aa spells no word; the default _element asks contains
+    m = BareIdempotentMonoid()
+    assert m.word_from_letters(["a"]) == (0,)
+    assert m.word_from_letters([]) == ()
+    with pytest.raises(MembershipError,
+                       match=r"^\['a', 'a'\] is not an element"):
+        m.word_from_letters(["a", "a"])
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_element_is_the_root_normal_form_when_contained(k):
+    """``_element`` of an index tuple is the root base's normal form of
+    it, the tuple itself or, over letter multisets, the sorted tuple,
+    when ``contains`` accepts that form, and None otherwise."""
+    for seed in range(2):
+        for m in residue_monoids(k, seed):
+            for n in range(6):
+                for indices in itertools.product(range(k), repeat=n):
+                    form = (tuple(sorted(indices))
+                            if m.word_kind == "multiset" else indices)
+                    expected = form if m.contains(form) else None
+                    assert m._element(iter(indices)) == expected, \
+                        (m.describe(), indices)
 
 
 def test_rees_rejects_non_proper_ideal():

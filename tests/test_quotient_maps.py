@@ -169,15 +169,15 @@ def test_section_checks_carrier():
 def test_ev_counts_letters():
     m = free(2)
     cm = commutative(2)
-    assert cm._from_indices(w(m, "aba")) == w(cm, "aab")
+    assert cm._element(w(m, "aba")) == w(cm, "aab")
     assert commutative_image(w(m, "aba"), 2) == (2, 1)
-    assert cm._from_indices(()) == ()
+    assert cm._element(()) == ()
 
 
 def test_ev_is_a_morphism():
     rng = random.Random(43)
     cm = commutative(3)
-    ev = cm._from_indices
+    ev = cm._element
     for _ in range(40):
         u = tuple(rng.randrange(3) for _ in range(rng.randrange(6)))
         v = tuple(rng.randrange(3) for _ in range(rng.randrange(6)))

@@ -33,6 +33,7 @@ import mobzero.specio as specio
 from mobzero.cli import main
 
 from helpers import (
+    BareIdempotentMonoid,
     builtin_monoids,
     commutative,
     free,
@@ -231,6 +232,22 @@ def test_parse_series_rejects_bad_terms():
     with pytest.raises(MembershipError):
         # aa collapses to zero in standard words
         parse_series({"truncation": 3, "terms": [["1", ["a", "a"]]]}, m)
+
+
+@pytest.mark.parametrize("terms", [
+    [["1", ["a", "a"]]],
+    # the second term's coefficient is known, so it takes the fast path
+    [["1", ["a"]], ["1", ["a", "a"]]],
+])
+def test_parse_series_refuses_a_non_element_of_a_bare_realization(terms):
+    # a*a = a, so aa spells no word; the error is the strict route's
+    m = BareIdempotentMonoid()
+    obj = {"truncation": 2, "terms": terms}
+    with pytest.raises(MembershipError) as strict:
+        parse_series_by_terms(obj, m)
+    with pytest.raises(MembershipError) as err:
+        parse_series(obj, m)
+    assert str(err.value) == str(strict.value)
 
 
 def test_unknown_letter_error_names_the_letter_and_the_alphabet(capsys):
