@@ -27,8 +27,9 @@ it: a decimal numerator, a slash and an unsigned denominator of at least
 the word in display order: for commutative monoids the sorted letter
 multiset.  The reader accepts a commutative word's letters in any order,
 and a word may appear in one term only, whatever its coefficient.
-Parsers raise :class:`SpecError` on malformed descriptions and
-:class:`MembershipError` on words that fail to belong.  The writer,
+Parsers raise :class:`SpecError` on malformed descriptions, a field
+outside those listed above included, and :class:`MembershipError` on
+words that fail to belong.  The writer,
 :func:`series_to_json`, returns the text of a series, byte for byte what
 ``json.dumps`` writes for its object, terms sorted by order, then
 lexicographically.
@@ -98,6 +99,16 @@ def _field(obj: dict, name: str, what: str):
     return obj[name]
 
 
+def _only(obj: dict, what: str, value, *names):
+    """``value``, once every field of ``obj`` is among ``names``: a field
+    that this reader does not know is refused, never ignored."""
+    for name in obj:
+        if name not in names:
+            raise SpecError(
+                f"{what} description has unknown field {name!r}: {obj!r}")
+    return value
+
+
 def _letters(value, what: str) -> list:
     """A JSON list of letter names; a string or an object would otherwise
     be read letter by letter or key by key."""
@@ -116,51 +127,54 @@ def parse_monoid(obj: dict) -> ZeroMonoid:
     if kind in ("free", "free-commutative"):
         alphabet = Alphabet(_letters(_field(obj, "alphabet", "monoid"),
                                      "an alphabet"))
-        if kind == "free":
-            return FreeMonoid(alphabet)
-        return FreeCommutativeMonoid(alphabet)
+        monoid = (FreeMonoid if kind == "free"
+                  else FreeCommutativeMonoid)(alphabet)
+        return _only(obj, "monoid", monoid, "type", "alphabet")
     if kind == "adjoin-zero":
         # a zero that no product reaches leaves the contracted algebra of
         # its base unchanged, so the base already models it
-        return parse_monoid(_field(obj, "base", "monoid"))
+        base = parse_monoid(_field(obj, "base", "monoid"))
+        return _only(obj, "monoid", base, "type", "base")
     if kind == "rees":
         base = parse_monoid(_field(obj, "base", "monoid"))
         ideal = parse_ideal(_field(obj, "ideal", "monoid"), base)
-        return ReesQuotient(base, ideal)
+        return _only(obj, "monoid", ReesQuotient(base, ideal),
+                     "type", "base", "ideal")
     raise SpecError(f"unknown monoid type {kind!r}")
 
 
 def parse_ideal(obj: dict, base: ZeroMonoid) -> IdealSpec:
     kind = _field(obj, "kind", "ideal")
+    what = f"{kind} ideal"
     if kind == "repeated-letter":
-        return RepeatedLetterIdeal(base)
+        return _only(obj, what, RepeatedLetterIdeal(base), "kind")
     if kind in ("min-length", "degree-at-least"):
         # one ideal, the words of order at least n, spelled for the base's
         # word kind; a bound that is not an integer is reported before a
         # base of the other kind, and one below 1 after it
         word_kind, name = (("sequence", "n") if kind == "min-length"
                            else ("multiset", "d"))
-        n = _field(obj, name, f"{kind} ideal")
-        if base.word_kind != word_kind:
-            _require_integer_bound(n, word_kind)
-            _require_word_kind(base, kind, word_kind)
-        return MinLengthIdeal(base, n)
+        n = _field(obj, name, what)
+        _require_integer_bound(n, word_kind)
+        _require_word_kind(base, kind, word_kind)
+        return _only(obj, what, MinLengthIdeal(base, n), "kind", name)
     if kind == "generated":
-        raw = _field(obj, "words", "generated ideal")
+        raw = _field(obj, "words", what)
         if not isinstance(raw, list):
             raise SpecError(f"generator list must be a list, got {raw!r}")
         # spelled lazily, so that GeneratedIdeal checks the base's word
         # kind before any letter is looked up
-        return GeneratedIdeal(
+        ideal = GeneratedIdeal(
             base, (base.word_from_letters(_letters(entry, "a generator"))
                    for entry in raw))
+        return _only(obj, what, ideal, "kind", "words")
     if kind == "ev-preimage":
         # the commutative base admits only degree-at-least(d), whose
         # pullback along the letter counts is min-length(d)
-        inner_obj = _field(obj, "inner", "ev-preimage ideal")
+        inner_obj = _field(obj, "inner", what)
         inner = parse_ideal(inner_obj, FreeCommutativeMonoid(base.alphabet()))
         _require_word_kind(base, kind)
-        return MinLengthIdeal(base, inner.n)
+        return _only(obj, what, MinLengthIdeal(base, inner.n), "kind", "inner")
     raise SpecError(f"unknown ideal kind {kind!r}")
 
 
@@ -185,43 +199,39 @@ def parse_series(obj: dict, monoid: ZeroMonoid, ring: Ring = INTEGERS,
     element = monoid._element
     zero = ring.zero
     for entry in raw_terms:
-        # A term whose coefficient was parsed before and whose letters are
-        # all in the alphabet costs one map and a few dict lookups; a
-        # non-string misses the string keys or cannot be hashed.  Every
-        # other term, and every word that spells no element, takes the
-        # strict route, which raises the error the term deserves.
+        if not (isinstance(entry, list) and len(entry) == 2):
+            raise SpecError(f"each term must be [coefficient, letters], "
+                            f"got {entry!r}")
+        text, letters = entry
+        try:
+            coeff = coefficients[text]
+        except (KeyError, TypeError):  # a new string, or not one at all
+            coeff = coefficients[text] = _parse_coefficient(text, ring)
+        # one map and one C-level lookup per letter; a name outside the
+        # alphabet, a non-string or a word that spells no element goes
+        # to word_from_letters, which raises the error the term deserves
         word = None
-        if type(entry) is list and len(entry) == 2 and type(entry[1]) is list:
+        if type(letters) is list:
             try:
-                coeff = coefficients[entry[0]]
-                word = element(map(index, entry[1]))
+                word = element(map(index, letters))
             except (KeyError, TypeError):
                 pass
         if word is None:
-            coeff, word = _read_term(entry, monoid, ring, coefficients)
+            word = monoid.word_from_letters(_letters(letters, "a term's word"))
         if len(word) > truncation:
             raise SpecError(
-                f"term {entry[1]!r} has order {len(word)}, beyond "
+                f"term {letters!r} has order {len(word)}, beyond "
                 f"the stated truncation {truncation}")
         if word in terms:
-            raise SpecError(f"duplicate term for word {entry[1]!r}")
+            raise SpecError(f"duplicate term for word {letters!r}")
         terms[word] = coeff
         if coeff == zero:
             zeros.append(word)
     for word in zeros:
         del terms[word]
-    return Series(monoid, truncation, terms, ring, _normalized=True)
-
-
-def _read_term(entry, monoid: ZeroMonoid, ring: Ring, coefficients: dict):
-    """A wire term as (coefficient, word), every part checked strictly;
-    the parsed coefficient is kept in ``coefficients`` under its text."""
-    if not (isinstance(entry, list) and len(entry) == 2):
-        raise SpecError(f"each term must be [coefficient, letters], "
-                        f"got {entry!r}")
-    coeff_text, letters = entry
-    coeff = coefficients[coeff_text] = _parse_coefficient(coeff_text, ring)
-    return coeff, monoid.word_from_letters(_letters(letters, "a term's word"))
+    return _only(obj, "series", Series(monoid, truncation, terms, ring,
+                                       _normalized=True),
+                 "truncation", "terms")
 
 
 def _wire_int(text: str) -> int:

@@ -132,6 +132,17 @@ def test_failed_call_leaves_the_next_one_alone(capsys):
         0, "1 + 3t + 6t^2 + 6t^3\n", "")
 
 
+def test_unknown_field_exits_one_with_the_error_line(capsys):
+    # read as the free monoid, this would list the 4 words of order 2
+    monoid = {"type": "free", "alphabet": ["a", "b"],
+              "commuting": [["a", "b"]]}
+    code, out, err = run(capsys, "count", "--order", "2",
+                         "--monoid", json.dumps(monoid))
+    assert (code, out) == (1, "")
+    assert err == (f"error: monoid description has unknown field "
+                   f"'commuting': {monoid!r}\n")
+
+
 def test_invert_one_gives_mobius(tmp_path, capsys):
     one = write_series(tmp_path, "one.json", {
         "truncation": 4, "terms": [["1", []]]})

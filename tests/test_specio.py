@@ -21,6 +21,7 @@ from mobzero import (
     RepeatedLetterIdeal,
     Series,
     SpecError,
+    ZeroMonoid,
     mobius_series,
     parse_ideal,
     parse_monoid,
@@ -184,6 +185,74 @@ def test_parse_ideal_errors():
         parse_ideal({"kind": "generated", "words": [["z"]]}, base)
     with pytest.raises(SpecError):
         parse_ideal({"kind": "degree-at-least", "d": 2}, base)
+
+
+def unknown_field(what, name, obj):
+    return f"{what} description has unknown field {name!r}: {obj!r}"
+
+
+FREE_A = {"type": "free", "alphabet": ["a"]}
+TOO_MUCH = {"type": "free", "alphabet": ["a", "b"], "commuting": [["a", "b"]]}
+
+
+@pytest.mark.parametrize("obj, message", [
+    (TOO_MUCH, unknown_field("monoid", "commuting", TOO_MUCH)),
+    ({"type": "free-commutative", "alphabet": ["a"], "ring": "Z"},
+     unknown_field("monoid", "ring", {"type": "free-commutative",
+                                      "alphabet": ["a"], "ring": "Z"})),
+    ({"type": "adjoin-zero", "base": FREE_A, "alphabet": ["a"]},
+     unknown_field("monoid", "alphabet", {"type": "adjoin-zero",
+                                          "base": FREE_A,
+                                          "alphabet": ["a"]})),
+    ({"type": "rees", "base": TOO_MUCH, "ideal": {"kind": "repeated-letter"}},
+     unknown_field("monoid", "commuting", TOO_MUCH)),
+    ({"type": "rees", "base": FREE_A, "ideal": {"kind": "repeated-letter"},
+      "alphabet": ["a"]},
+     unknown_field("monoid", "alphabet", {
+         "type": "rees", "base": FREE_A, "ideal": {"kind": "repeated-letter"},
+         "alphabet": ["a"]})),
+    # an input refused for another reason keeps that reason's message
+    ({"type": "free", "alphabet": "ab", "commuting": []},
+     "an alphabet must be a list of letter names, got 'ab'"),
+], ids=["free", "free-commutative", "adjoin-zero", "inside-the-base", "rees",
+        "bad-alphabet-first"])
+def test_parse_monoid_refuses_an_unknown_field(obj, message):
+    with pytest.raises(SpecError) as err:
+        parse_monoid(obj)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("obj, base, message", [
+    ({"kind": "repeated-letter", "n": 2}, free(2),
+     unknown_field("repeated-letter ideal", "n",
+                   {"kind": "repeated-letter", "n": 2})),
+    ({"kind": "min-length", "n": 2, "d": 9}, free(2),
+     unknown_field("min-length ideal", "d",
+                   {"kind": "min-length", "n": 2, "d": 9})),
+    ({"kind": "degree-at-least", "d": 2, "n": 9}, commutative(2),
+     unknown_field("degree-at-least ideal", "n",
+                   {"kind": "degree-at-least", "d": 2, "n": 9})),
+    ({"kind": "generated", "words": [["a"]], "inner": {}}, free(2),
+     unknown_field("generated ideal", "inner",
+                   {"kind": "generated", "words": [["a"]], "inner": {}})),
+    ({"kind": "ev-preimage", "inner": {"kind": "degree-at-least", "d": 2},
+      "n": 2}, free(2),
+     unknown_field("ev-preimage ideal", "n", {
+         "kind": "ev-preimage", "inner": {"kind": "degree-at-least", "d": 2},
+         "n": 2})),
+    ({"kind": "ev-preimage",
+      "inner": {"kind": "degree-at-least", "d": 2, "ring": "Z"}}, free(2),
+     unknown_field("degree-at-least ideal", "ring",
+                   {"kind": "degree-at-least", "d": 2, "ring": "Z"})),
+    # an input refused for another reason keeps that reason's message
+    ({"kind": "min-length", "n": 0, "d": 9}, free(2),
+     "min-length bound must be at least 1, got 0"),
+], ids=["repeated-letter", "min-length", "degree-at-least", "generated",
+        "ev-preimage", "inner", "bad-bound-first"])
+def test_parse_ideal_refuses_an_unknown_field(obj, base, message):
+    with pytest.raises(SpecError) as err:
+        parse_ideal(obj, base)
+    assert str(err.value) == message
 
 
 # -- series -----------------------------------------------------------------
@@ -573,9 +642,33 @@ def test_parse_series_parses_each_coefficient_string_once(monkeypatch):
     obj = {"truncation": 4,
            "terms": [[str(i % 3 - 1), m.word_letters(w)]
                      for i, w in enumerate(words)]}
+    spelled = []
+
+    def spelling(self, names):
+        spelled.append(names)
+        return word_from_letters(self, names)
+
+    word_from_letters = ZeroMonoid.word_from_letters
+    monkeypatch.setattr(ZeroMonoid, "word_from_letters", spelling)
     f = parse_series(obj, m)
     assert sorted(seen) == ["-1", "0", "1"]
+    # every word is valid, so none takes the strict speller
+    assert spelled == []
     assert f == parse_series_by_terms(obj, m)
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"truncation": 2, "terms": [["1", ["a"]]], "ring": "Q"},
+     unknown_field("series", "ring",
+                   {"truncation": 2, "terms": [["1", ["a"]]], "ring": "Q"})),
+    # an input refused for another reason keeps that reason's message
+    ({"truncation": 2, "terms": [["1", ["z"]]], "ring": "Q"},
+     "unknown letter 'z'"),
+], ids=["ring", "bad-term-first"])
+def test_parse_series_refuses_an_unknown_field(obj, message):
+    with pytest.raises(SpecError) as err:
+        parse_series(obj, free(2))
+    assert str(err.value).startswith(message)
 
 
 def test_parse_series_truncation_must_match_request():
