@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import SpecError
-from .monoid import FreeMonoid, ReesQuotient, Report, ZeroMonoid
+from .monoid import FreeMonoid, ReesQuotient, Report, ZeroMonoid, _ResidueMoves
 from .series import signed_sum
 
 
@@ -21,31 +21,27 @@ def hilbert_prefix(m: ZeroMonoid, top: int) -> tuple:
     """Count nonzero elements of each order from 0 up to ``top``, as a
     tuple indexed by order.
 
-    Each grade is held as one representative word and a multiplicity per
-    residue (:meth:`ZeroMonoid.residue`); the next grade extends every
-    representative once.  Elements of equal order and residue have
-    extensions of equal residues, so the counts are exact while each
-    grade costs its number of residues times the extensions of one word,
-    not its number of elements.  Needs ``m.extend``: a monoid without it
-    raises :class:`InfiniteGradeError` for ``top`` above 0.
+    Each grade is held as a multiplicity per residue
+    (:meth:`ZeroMonoid.residue`), and the next grade adds each one to
+    the residues of its children, read from the moves table that
+    :meth:`ZeroMonoid.grades` walks too.  Residues are order-free, so
+    the table extends one word per residue for the whole count, and a
+    grade costs its number of residues times their children, not its
+    number of elements.  Needs ``m.extend``: a monoid without it raises
+    :class:`InfiniteGradeError` for ``top`` above 0.
     """
     if top < 0:
         raise ValueError(f"top must be nonnegative, got {top}")
-    extend = m.extend
-    residue = m.residue
-    grade = {residue(()): [(), 1]}
+    moves = _ResidueMoves(m)
+    grade = {moves.start: 1}
     counts = [1]
     for _ in range(top):
         above = {}
-        for word, multiplicity in grade.values():
-            for child in extend(word):
-                key = residue(child)
-                if key in above:
-                    above[key][1] += multiplicity
-                else:
-                    above[key] = [child, multiplicity]
+        for key, multiplicity in grade.items():
+            for child in moves[key][1]:
+                above[child] = above.get(child, 0) + multiplicity
         grade = above
-        counts.append(sum(entry[1] for entry in grade.values()))
+        counts.append(sum(grade.values()))
     return tuple(counts)
 
 

@@ -59,11 +59,11 @@ class IdealSpec(ABC):
 
     def residue(self, word: Word):
         """What of ``word`` membership of its extensions depends on, given
-        their order and the base's residue; see :meth:`ZeroMonoid.residue`.
-        Two words outside the ideal of equal order and residue must keep
-        the same appended letters outside it, and each letter must lead
-        both to children of equal residue.  The word itself always
-        qualifies and merges nothing.
+        the base's residue; see :meth:`ZeroMonoid.residue`.  Two words
+        outside the ideal of equal residue, of any orders, must keep the
+        same appended letters outside it, and each letter must lead both
+        to children of equal residue.  The word itself always qualifies
+        and merges nothing.
 
         It is also the right key of a quotient product (see
         ``ZeroMonoid._seam_keys``): let x, x' lie outside the ideal, with
@@ -140,7 +140,10 @@ class MinLengthIdeal(IdealSpec):
     """Words of order at least a fixed bound n.  The order of a product
     is the sum of its factors' orders, so this is an ideal of every base.
     Its kind is named for the base's words: min-length over letter
-    sequences, degree-at-least over letter multisets."""
+    sequences, degree-at-least over letter multisets.  Its residue is
+    the order, which alone fixes membership of the extensions at any
+    order; its left residue is ``()``, as seam keys are compared within
+    one order."""
 
     def __init__(self, base: ZeroMonoid, n: int):
         _require_integer_bound(n, base.word_kind)
@@ -153,10 +156,10 @@ class MinLengthIdeal(IdealSpec):
     def contains(self, word: Word) -> bool:
         return len(word) >= self.n
 
-    def residue(self, word: Word):
-        return ()
+    residue = staticmethod(len)
 
-    left_residue = residue
+    def left_residue(self, word: Word):
+        return ()
 
     def describe(self) -> str:
         return f"{self.kind}({self.n}) ideal"

@@ -187,8 +187,12 @@ class ZeroMonoid(ABC):
     # bench/spans.py, its last reader, until ROADMAP item 1 rewrites it
     _order = staticmethod(len)
 
+    # what ``describe`` calls the monoid; None names it by its class
+    name = None
+
     def describe(self) -> str:
-        return repr(self)
+        letters = ", ".join(self.alphabet())
+        return f"{self.name or type(self).__name__} on {{{letters}}}"
 
     def extend(self, word: Word) -> list:
         """The elements one order above ``word`` that are reached from it,
@@ -197,9 +201,9 @@ class ZeroMonoid(ABC):
         Every element of order n + 1 is reached from exactly one element
         of order n, and that element divides it.  Each is ``word`` with
         exactly one letter appended, and which letters are appended
-        depends only on the order and the :meth:`residue` of ``word``:
-        :meth:`grades` and :meth:`IdealSpec.contains_extension` rely on
-        that.
+        depends only on the :meth:`residue` of ``word``, at any order:
+        :meth:`grades`, ``hilbert_prefix`` and
+        :meth:`IdealSpec.contains_extension` rely on that.
         """
         raise InfiniteGradeError(
             f"{self.describe()} cannot extend its elements")
@@ -226,13 +230,12 @@ class ZeroMonoid(ABC):
     def residue(self, word: Word):
         """What of ``word`` its extensions depend on.
 
-        Two elements of equal order and equal residue must append the
+        Two elements of equal residue, of any orders, must append the
         same letters in :meth:`extend`, and each letter must lead both to
         children of equal residue.  So one representative per residue
-        and grade stands for all the others: :meth:`grades` extends only
-        it, and ``hilbert_prefix`` counts by it.  Residues are compared
-        only within one order.  The word itself always qualifies and
-        merges nothing.
+        stands for all the others, at every order: a walk of
+        :meth:`grades` or ``hilbert_prefix`` extends it once.  The word
+        itself always qualifies and merges nothing.
         """
         return word
 
@@ -242,31 +245,22 @@ class ZeroMonoid(ABC):
 
         Each grade is the extensions of the grade below, listed by
         residue class (see :meth:`residue`): a grade is held as its
-        words and, in a parallel list, their residues.  The first word
-        of each residue is extended, and its *moves*, the appended
-        letter and the residue of each child, extend every other word
-        of that residue, with no ``extend`` or ``residue`` call per
-        word.  Each word's children follow in increasing letter order,
-        so the grade comes out in display order without a sort.  The
-        moves are found again for every grade, as residues are compared
-        only within one order.
+        words and, in a parallel list, their residues.  Every word is
+        extended by its residue's *moves*, the appended letter and the
+        residue of each child, from one table for the whole walk, with
+        no ``extend`` or ``residue`` call per word.  Each word's
+        children follow in increasing letter order, so the grade comes
+        out in display order without a sort.
         """
         if top < 0:
             return []
-        extend = self.extend
-        residue = self.residue
-        words, keys = [()], [residue(())]
+        moves = _ResidueMoves(self)
+        words, keys = [()], [moves.start]
         out = [words]
         for _ in range(top):
-            moves = {}
             above, above_keys = [], []
             for word, key in zip(words, keys):
-                move = moves.get(key)
-                if move is None:
-                    children = extend(word)
-                    move = moves[key] = ([w[-1:] for w in children],
-                                         list(map(residue, children)))
-                tails, tail_keys = move
+                tails, tail_keys = moves[key]
                 above += map(word.__add__, tails)
                 above_keys += tail_keys
             words, keys = above, above_keys
@@ -324,12 +318,32 @@ class ZeroMonoid(ABC):
         return hash(self._key())
 
 
+class _ResidueMoves(dict):
+    """Residue -> (the appended letters, as one-letter words, and the
+    residues of the children), the moves of one walk over residue
+    classes.  A missing residue is learned by extending the first word
+    met of it, so ``extend`` runs once per residue and walk; residues
+    are order-free (see :meth:`ZeroMonoid.residue`)."""
+
+    def __init__(self, m: ZeroMonoid):
+        self._extend, self._residue = m.extend, m.residue
+        self.start = m.residue(())
+        self._words = {self.start: ()}
+
+    def __missing__(self, key):
+        # one Python loop: a C map over ``residue`` costs more per call
+        tails, keys = move = self[key] = [], []
+        for child in self._extend(self._words[key]):
+            keys.append(self._residue(child))
+            self._words.setdefault(keys[-1], child)
+            tails.append(child[-1:])
+        return move
+
+
 class _FreeBase(ZeroMonoid):
     """What the free bases share: an alphabet, membership of the words
     over it, no product that collapses, and equality by alphabet.  Each
     free base adds its product and enumeration kernels."""
-
-    name: str   # what ``describe`` calls the monoid
 
     def __init__(self, alphabet: Alphabet):
         if not isinstance(alphabet, Alphabet):
@@ -347,9 +361,6 @@ class _FreeBase(ZeroMonoid):
                 and all(isinstance(i, int) and 0 <= i < self._size for i in word))
 
     _seam_keys = None   # no product collapses
-
-    def describe(self) -> str:
-        return f"{self.name} on {{{', '.join(self._alphabet)}}}"
 
     def __repr__(self):
         return f"{type(self).__name__}({list(self._alphabet)})"
@@ -451,9 +462,9 @@ class ReesQuotient(ZeroMonoid):
     below, and :meth:`extend` keeps the base's extensions outside the
     ideal: a grade is built from the grade below, never from the whole
     base grade.  The residue is the pair of the base's and the ideal's,
-    so two words of equal order and residue keep the same appended
-    letters, to children of equal residue, and the inherited
-    :meth:`grades` extends one word per residue class.  As the elements
+    so two words of equal residue, of any orders, keep the same
+    appended letters, to children of equal residue, and the inherited
+    :meth:`grades` extends one word per residue.  As the elements
     are closed under divisors, the factorizations of an element are its
     base factorizations.  The identity and the order are the base's, as
     they are those of every realization.

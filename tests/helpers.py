@@ -16,7 +16,11 @@ word on its own, without the coefficient memo and the letter map of
 testing every word of the root base instead of extending the grade
 below, the extension route lists a grade by extending every word of the
 grade below instead of one word per residue class, the filter counter
-counts every element instead of one word per residue class,
+counts every element instead of one word per residue class, the
+per-order residue counter keeps the old walk of ``hilbert_prefix``,
+which extends one word per residue of every order instead of reading
+one moves table for the whole count, so it asks nothing of residues
+across orders,
 the factorization filter tests both factors of every base factorization
 for membership in the quotient, the pair-by-pair product asks the
 monoid's own ``_mul`` about every term pair instead of deciding collapse
@@ -355,6 +359,38 @@ def counts_by_filter(m, top):
     """Number of nonzero elements of each order 0..top, every element
     listed by :func:`elements_by_filter`."""
     return tuple(len(elements_by_filter(m, n)) for n in range(top + 1))
+
+
+def counts_by_residue_per_order(m: ZeroMonoid, top: int) -> tuple:
+    """Count nonzero elements of each order from 0 up to ``top``, as a
+    tuple indexed by order.
+
+    Each grade is held as one representative word and a multiplicity per
+    residue (:meth:`ZeroMonoid.residue`); the next grade extends every
+    representative once.  Elements of equal order and residue have
+    extensions of equal residues, so the counts are exact while each
+    grade costs its number of residues times the extensions of one word,
+    not its number of elements.  Needs ``m.extend``: a monoid without it
+    raises :class:`InfiniteGradeError` for ``top`` above 0.
+    """
+    if top < 0:
+        raise ValueError(f"top must be nonnegative, got {top}")
+    extend = m.extend
+    residue = m.residue
+    grade = {residue(()): [(), 1]}
+    counts = [1]
+    for _ in range(top):
+        above = {}
+        for word, multiplicity in grade.values():
+            for child in extend(word):
+                key = residue(child)
+                if key in above:
+                    above[key][1] += multiplicity
+                else:
+                    above[key] = [child, multiplicity]
+        grade = above
+        counts.append(sum(entry[1] for entry in grade.values()))
+    return tuple(counts)
 
 
 def factorizations_by_filter(quotient, x):

@@ -1,8 +1,9 @@
 """Grade enumeration by residue class, checked against the filter over
 every word of the root base and against extending every word of the
-grade below; the residue contract that both ``grades`` and
-``hilbert_prefix`` rely on, and counts by residue class checked against
-the filter's counts; quotient factorizations checked against the
+grade below; the order-free residue contract that both ``grades`` and
+``hilbert_prefix`` rely on, one ``extend`` call per residue and walk,
+and counts by residue class checked against the filter's counts and
+the per-order walk; quotient factorizations checked against the
 filtered base factorizations; membership of extensions, tested at the
 suffix, checked against full membership; and the seam-key contract that
 lets the product kernel decide collapse once per pair of key classes,
@@ -38,6 +39,7 @@ from helpers import (
     builtin_quotients,
     commutative,
     counts_by_filter,
+    counts_by_residue_per_order,
     elements_by_filter,
     factorizations,
     factorizations_by_filter,
@@ -53,23 +55,42 @@ TOP = 7
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_equal_residues_have_equal_extension_residues(k):
-    """The residue contract ``grades`` relies on: every child is its
-    parent plus one letter, and words of equal order and residue append
-    the same letters, in the same order, to children of equal residue.
-    ``residue_monoids`` holds every built-in quotient and every quotient
-    of a quotient."""
+    """The residue contract ``grades`` and ``hilbert_prefix`` rely on:
+    every child is its parent plus one letter, and words of equal
+    residue, of any orders, append the same letters, in the same order,
+    to children of equal residue.  ``residue_monoids`` holds every
+    built-in quotient and every quotient of a quotient."""
     for seed in range(3):
-        for m in residue_monoids(k, seed):
+        for m in residue_monoids(k, seed) + [IdempotentMonoid()]:
             first = {}
-            for n, grade in enumerate(grades_by_extension(m, 6)):
+            for grade in grades_by_extension(m, 6):
                 for word in grade:
                     children = m.extend(word)
                     assert all(child[:-1] == word for child in children), \
                         (m.describe(), word)
                     moves = [(child[-1:], m.residue(child))
                              for child in children]
-                    assert first.setdefault((n, m.residue(word)), moves) \
+                    assert first.setdefault(m.residue(word), moves) \
                         == moves, (m.describe(), word)
+
+
+def test_each_walk_extends_one_word_per_residue(monkeypatch):
+    """One moves table serves a whole walk: ``hilbert_prefix`` and
+    ``grades`` call ``extend`` once per residue, not once per residue
+    and order.  gen[abcdabcda] has nine automaton states, gen[ab, cc]
+    three."""
+    calls = []
+    extend = ReesQuotient.extend
+    monkeypatch.setattr(ReesQuotient, "extend",
+                        lambda q, word: calls.append(word) or extend(q, word))
+    base = free(4)
+    q = ReesQuotient(base, GeneratedIdeal(base, [(0, 1, 2, 3) * 2 + (0,)]))
+    hilbert_prefix(q, 200)
+    assert len(calls) == 9
+    calls.clear()
+    q = ReesQuotient(base, GeneratedIdeal(base, [(0, 1), (2, 2)]))
+    q.grades(9)
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -134,6 +155,16 @@ def test_hilbert_prefix_matches_walk_counts(k):
             assert hilbert_prefix(m, 8) == counts_by_filter(m, 8), \
                 m.describe()
             assert hilbert_prefix(m, 0) == (1,)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_hilbert_prefix_matches_the_per_order_walk(k):
+    """The old walk, which learns the moves again at every order, is
+    the oracle at orders the filter cannot reach."""
+    for seed in range(3):
+        for m in residue_monoids(k, seed):
+            assert hilbert_prefix(m, 60) == counts_by_residue_per_order(
+                m, 60), m.describe()
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

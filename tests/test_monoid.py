@@ -261,6 +261,19 @@ def test_word_from_letters_refuses_a_non_element_of_a_bare_realization():
         m.word_from_letters(["a", "a"])
 
 
+def test_a_bare_realization_is_described_by_class_and_alphabet():
+    # the default describe names no object address, so two instances
+    # give one error text
+    errors = []
+    for m in (BareIdempotentMonoid(), BareIdempotentMonoid()):
+        with pytest.raises(MembershipError) as err:
+            m.word_from_letters(["a", "a"])
+        errors.append(str(err.value))
+    assert errors[0] == errors[1] == (
+        "['a', 'a'] is not an element of BareIdempotentMonoid on {a}")
+    assert "0x" not in errors[0]
+
+
 @pytest.mark.parametrize("k", [2, 3])
 def test_element_is_the_root_normal_form_when_contained(k):
     """``_element`` of an index tuple is the root base's normal form of
