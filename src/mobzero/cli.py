@@ -3,13 +3,15 @@
 Every subcommand takes a monoid description (inline JSON or a path to a
 JSON file) and prints either text or JSON.  Exit status is 0 on success
 and for ``--help``, 1 when an input or the command line fails to
-validate, and 2 only when a verification finds a counterexample.
+validate or stdout is closed before the output ends (with nothing on
+stderr), and 2 only when a verification finds a counterexample.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import AlgebraError
@@ -183,7 +185,13 @@ def main(argv=None) -> int:
         if args.order < 0:
             raise ValueError(f"order must be nonnegative, got {args.order}")
         args.parsed_monoid = parse_monoid(read_json_source(args.monoid))
-        return args.run(args)
+        status = args.run(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader closed stdout early; what is still buffered goes to
+        # devnull, so the interpreter's last flush does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except (AlgebraError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
     except RecursionError:

@@ -32,9 +32,11 @@ from .monoid import Word, ZeroMonoid
 class IdealSpec(ABC):
     """Membership predicate for a two-sided ideal of ``base``.
 
-    ``contains`` assumes its argument is a valid word of the base monoid;
-    it sits inside the quotient's multiplication loop and does not
-    re-validate.
+    ``contains`` answers every question a quotient asks its ideal.  It
+    assumes its argument is a valid word of the base monoid; it sits
+    inside the quotient's multiplication loop and does not re-validate.
+    A realization defines ``contains`` and may name its seam keys,
+    :meth:`residue` and :meth:`left_residue`.
     """
 
     kind: str
@@ -45,17 +47,6 @@ class IdealSpec(ABC):
     @abstractmethod
     def contains(self, word: Word) -> bool:
         raise NotImplementedError
-
-    def contains_extension(self, word: Word) -> bool:
-        """``contains(word)`` for a word in ``base.extend(parent)``, where
-        ``parent`` is already known to lie outside the ideal.
-
-        Every factor of the word that is also a factor of the parent is
-        outside the ideal, so an override need only check the factors
-        that the last step created.  For sequence words the parent is
-        ``word[:-1]``.
-        """
-        return self.contains(word)
 
     def residue(self, word: Word):
         """What of ``word`` membership of its extensions depends on, given
@@ -115,9 +106,6 @@ class RepeatedLetterIdeal(IdealSpec):
 
     def contains(self, word: Word) -> bool:
         return len(set(word)) < len(word)
-
-    def contains_extension(self, word: Word) -> bool:
-        return word[-1] in word[:-1]
 
     # the letter set, on either side
     residue = left_residue = staticmethod(frozenset)
@@ -201,14 +189,6 @@ class GeneratedIdeal(IdealSpec):
     def contains(self, word: Word) -> bool:
         # one C pass over the word through the factor automaton
         return reduce(getitem, word, self._root) is self._dead
-
-    def contains_extension(self, word: Word) -> bool:
-        # a factor not ending at the last letter is a factor of the parent
-        n = len(word)
-        for g in self.generators:
-            if word[n - len(g):] == g:
-                return True
-        return False
 
     def describe(self) -> str:
         shown = ", ".join(self.base.render_word(g) for g in self.generators)

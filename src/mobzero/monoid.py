@@ -202,8 +202,7 @@ class ZeroMonoid(ABC):
         of order n, and that element divides it.  Each is ``word`` with
         exactly one letter appended, and which letters are appended
         depends only on the :meth:`residue` of ``word``, at any order:
-        :meth:`grades`, ``hilbert_prefix`` and
-        :meth:`IdealSpec.contains_extension` rely on that.
+        :meth:`grades` and ``hilbert_prefix`` rely on that.
         """
         raise InfiniteGradeError(
             f"{self.describe()} cannot extend its elements")
@@ -508,7 +507,7 @@ class ReesQuotient(ZeroMonoid):
         return z
 
     def extend(self, word):
-        inside = self.ideal.contains_extension
+        inside = self.ideal.contains
         return [w for w in self.base.extend(word) if not inside(w)]
 
     def _element(self, indices):

@@ -1,6 +1,9 @@
 import decimal
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -257,6 +260,25 @@ def test_count_json(capsys):
         {"order": 0, "count": 1, "elements": [[]]},
         {"order": 1, "count": 2, "elements": [["a"], ["b"]]},
     ]}
+
+
+def test_closed_stdout_exits_one_with_nothing_on_stderr():
+    """A reader that stops early, as ``head -n 1`` does, closes the pipe
+    while ``count`` still writes its 124,245 elements."""
+    monoid = ('{"type": "rees", "base": {"type": "free", "alphabet": '
+              '["a", "b", "c", "d"]}, "ideal": {"kind": "generated", '
+              '"words": [["a", "b"], ["c", "c"]]}}')
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mobzero.cli", "count", "--order", "9",
+         "--monoid", monoid],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(6) == b"0\t1\t1\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (1, b"")
 
 
 def test_verify_passes_on_standard_words(capsys):

@@ -3,9 +3,9 @@ every word of the root base and against extending every word of the
 grade below; the order-free residue contract that both ``grades`` and
 ``hilbert_prefix`` rely on, one ``extend`` call per residue and walk,
 and counts by residue class checked against the filter's counts and
-the per-order walk; quotient factorizations checked against the
-filtered base factorizations; membership of extensions, tested at the
-suffix, checked against full membership; and the seam-key contract that
+the per-order walk, and the ideal asked ``contains`` once per child of
+each extended word; quotient factorizations checked against the
+filtered base factorizations; and the seam-key contract that
 lets the product kernel decide collapse once per pair of key classes,
 over the built-in ideals and over generated ideals with generators of
 mixed and random lengths."""
@@ -77,20 +77,25 @@ def test_equal_residues_have_equal_extension_residues(k):
 def test_each_walk_extends_one_word_per_residue(monkeypatch):
     """One moves table serves a whole walk: ``hilbert_prefix`` and
     ``grades`` call ``extend`` once per residue, not once per residue
-    and order.  gen[abcdabcda] has nine automaton states, gen[ab, cc]
-    three."""
-    calls = []
-    extend = ReesQuotient.extend
-    monkeypatch.setattr(ReesQuotient, "extend",
-                        lambda q, word: calls.append(word) or extend(q, word))
+    and order, and each ``extend`` asks the ideal ``contains`` once per
+    child of the base, four over free {a,b,c,d}.  gen[abcdabcda] has
+    nine automaton states, gen[ab, cc] three.  The quotients are built
+    before counting starts."""
     base = free(4)
-    q = ReesQuotient(base, GeneratedIdeal(base, [(0, 1, 2, 3) * 2 + (0,)]))
-    hilbert_prefix(q, 200)
-    assert len(calls) == 9
-    calls.clear()
-    q = ReesQuotient(base, GeneratedIdeal(base, [(0, 1), (2, 2)]))
-    q.grades(9)
-    assert len(calls) == 3
+    long = ReesQuotient(base, GeneratedIdeal(base, [(0, 1, 2, 3) * 2 + (0,)]))
+    short = ReesQuotient(base, GeneratedIdeal(base, [(0, 1), (2, 2)]))
+    extends, asks = [], []
+    extend, contains = ReesQuotient.extend, GeneratedIdeal.contains
+    monkeypatch.setattr(ReesQuotient, "extend",
+                        lambda q, word: extends.append(word) or extend(q, word))
+    monkeypatch.setattr(GeneratedIdeal, "contains",
+                        lambda i, word: asks.append(word) or contains(i, word))
+    hilbert_prefix(long, 200)
+    assert (len(extends), len(asks)) == (9, 36)
+    extends.clear()
+    asks.clear()
+    short.grades(9)
+    assert (len(extends), len(asks)) == (3, 12)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -184,18 +189,6 @@ def test_grades_are_in_display_order_and_match_filter(k):
             for n, grade in enumerate(grades):
                 assert grade == sorted(grade), (m.describe(), n)
                 assert grade == elements_by_filter(m, n), (m.describe(), n)
-
-
-@pytest.mark.parametrize("k", [2, 3])
-def test_contains_extension_agrees_with_contains(k):
-    for seed in range(3):
-        for q in builtin_quotients(k, seed):
-            ideal = q.ideal
-            for grade in q.grades(TOP - 1):
-                for parent in grade:
-                    for word in q.base.extend(parent):
-                        assert (ideal.contains_extension(word)
-                                == ideal.contains(word)), (q.describe(), word)
 
 
 def test_generated_seam_covers_generators_of_every_length():
