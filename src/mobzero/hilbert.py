@@ -79,11 +79,5 @@ def check_hilbert_relation(q: ReesQuotient, top: int) -> Report:
 
 def poly_text(coeffs) -> str:
     """Render integer-like coefficients as a polynomial in t."""
-    def term(n, c):
-        magnitude = abs(c)
-        if n == 0:
-            return c < 0, str(magnitude)
-        head = "" if magnitude == 1 else str(magnitude)
-        return c < 0, head + ("t" if n == 1 else f"t^{n}")
-
-    return signed_sum(term(n, c) for n, c in enumerate(coeffs) if c != 0)
+    return signed_sum((c, "" if n == 0 else "t" if n == 1 else f"t^{n}")
+                      for n, c in enumerate(coeffs) if c != 0)

@@ -64,6 +64,10 @@ class Alphabet:
         for name in self.letters:
             if not isinstance(name, str) or not name:
                 raise SpecError(f"letter names must be nonempty strings, got {name!r}")
+            # text writes a coefficient before its word: 2 times "1" is "21"
+            if name[0] in "0123456789":
+                raise SpecError(
+                    f"letter names must not begin with a digit, got {name!r}")
         if len(set(self.letters)) != len(self.letters):
             raise SpecError(f"alphabet letters must be distinct: {self.letters}")
         self._index = {name: i for i, name in enumerate(self.letters)}

@@ -152,21 +152,11 @@ class Series:
     # -- rendering ---------------------------------------------------------
 
     def render(self) -> str:
-        """Text form: terms by (order, lex), unit coefficients suppressed."""
-        one = self.ring.one
+        """Text form: terms by (order, lex), each written by
+        :func:`signed_sum`, with the word as its body."""
         render_word = self.monoid.render_word
-
-        def term(word, coeff):
-            magnitude = abs(coeff)
-            if not word:
-                body = str(magnitude)
-            elif magnitude == one:
-                body = render_word(word)
-            else:
-                body = str(magnitude) + render_word(word)
-            return coeff < 0, body
-
-        return signed_sum(term(w, c) for w, c in self.items_sorted())
+        return signed_sum((c, render_word(w) if w else "")
+                          for w, c in self.items_sorted())
 
     def __repr__(self):
         return f"<Series N={self.truncation} {self.render()}>"
@@ -224,16 +214,18 @@ class Series:
 
 
 def signed_sum(terms) -> str:
-    """Text of a sum from (negative, body) pairs, as "a - b + c": the
+    """Text of a sum from (coefficient, body) pairs, as "a - 2b + 3": the
+    body is "" for a constant, which shows its magnitude; a unit
+    magnitude is dropped before a body, any other precedes it.  The
     first term takes a bare minus sign, every later one a spaced
     operator; "0" when there are no terms."""
     out = []
-    for negative, body in terms:
+    for c, body in terms:
         if out:
-            out.append(" - " if negative else " + ")
-        elif negative:
+            out.append(" - " if c < 0 else " + ")
+        elif c < 0:
             out.append("-")
-        out.append(body)
+        out.append(body if body and abs(c) == 1 else str(abs(c)) + body)
     return "".join(out) or "0"
 
 

@@ -146,6 +146,15 @@ def test_unknown_field_exits_one_with_the_error_line(capsys):
                    f"'commuting': {monoid!r}\n")
 
 
+def test_digit_led_letter_name_exits_one_with_the_error_line(capsys):
+    # read, the Mobius series of the free monoid on 1 and x would be
+    # written "1 - 1 - x"
+    code, out, err = run(capsys, "mobius", "--order", "2", "--monoid",
+                         '{"type": "free", "alphabet": ["1", "x"]}')
+    assert (code, out) == (1, "")
+    assert err == "error: letter names must not begin with a digit, got '1'\n"
+
+
 def test_invert_one_gives_mobius(tmp_path, capsys):
     one = write_series(tmp_path, "one.json", {
         "truncation": 4, "terms": [["1", []]]})
@@ -206,17 +215,21 @@ EXACT = decimal.Context(prec=10_000)
 
 def test_hilbert_writes_a_count_beyond_the_digit_limit(capsys):
     # 2^15000 has 4,516 digits, beyond the interpreter's default limit of
-    # 4,300 on writing an int as text; the CLI lifts it for its output
-    # and restores it after
+    # 4,300 on writing an int as text; the CLI lifts it for its output,
+    # in either format, and restores it after
     limit = digit_limit()
-    code, out, err = run(capsys, "hilbert", "--monoid", FREE_AB,
-                         "--order", "15000", "--format", "json")
-    assert (code, err) == (0, "")
-    assert digit_limit() == limit
-    head, last = out.rsplit(", ", 1)
-    assert head.startswith('{"counts": [1, 2, 4, 8, ')
-    assert last.endswith("]}\n")
-    assert EXACT.create_decimal(last[:-3]) == EXACT.power(2, 15000)
+    for fmt, prefix, separator, suffix in [
+            ("text", "1 + 2t + 4t^2 + 8t^3 + ", " + ", "t^15000\n"),
+            ("json", '{"counts": [1, 2, 4, 8, ', ", ", "]}\n")]:
+        code, out, err = run(capsys, "hilbert", "--monoid", FREE_AB,
+                             "--order", "15000", "--format", fmt)
+        assert (code, err) == (0, "")
+        assert digit_limit() == limit
+        head, last = out.rsplit(separator, 1)
+        assert head.startswith(prefix)
+        assert last.endswith(suffix)
+        assert (EXACT.create_decimal(last[:-len(suffix)])
+                == EXACT.power(2, 15000))
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

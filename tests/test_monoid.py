@@ -63,6 +63,14 @@ def test_alphabet_rejects_bad_input():
         Alphabet(["a"]).spell(["a", "z"])
 
 
+def test_alphabet_rejects_a_name_that_begins_with_a_digit():
+    # twice the letter "1" would be written "21", and the letter itself
+    # "1", like the identity
+    with pytest.raises(SpecError) as info:
+        Alphabet(["1", "x"])
+    assert str(info.value) == "letter names must not begin with a digit, got '1'"
+
+
 # -- zero sentinel ----------------------------------------------------------
 
 def test_zero_is_singleton():

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from mobzero import (
     INTEGERS,
     AlgebraError,
+    Alphabet,
     FreeCommutativeMonoid,
     FreeMonoid,
     GeneratedIdeal,
@@ -961,6 +962,21 @@ def test_render_conventions():
     assert S(m, 4, [(2, "a"), (1, "ab")]).render() == "2a + ab"
     assert S(m, 4, [(-1, "a")]).render() == "-a"
     assert S(m, 4, [(-3, ""), (1, "ba")]).render() == "-3 + ba"
+
+
+@pytest.mark.parametrize("m, ring, pairs, text", [
+    (free(2), RATIONALS, [(Fraction(-3, 2), "a"), (Fraction(1, 2), "ab")],
+     "-3/2a + 1/2ab"),
+    (free(2), IntegerModRing(7), [(9, ""), (-1, "a")], "2 + 6a"),
+    (FreeMonoid(Alphabet(["x1", "y"])), INTEGERS,
+     [(-1, ["y"]), (2, ["x1", "y"])], "-y + 2x1*y"),
+    (commutative(2), INTEGERS, [(1, "b"), (-2, "aab")], "b - 2aab"),
+    (free(2), INTEGERS, [(-3, "")], "-3"),
+    (free(2), INTEGERS, [], "0"),
+], ids=["rationals", "mod-7", "multi-char", "commutative", "constant",
+        "empty"])
+def test_render_writes_every_term_by_one_rule(m, ring, pairs, text):
+    assert S(m, 3, pairs, ring).render() == text
 
 
 def test_items_sorted_order():
