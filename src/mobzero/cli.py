@@ -5,11 +5,16 @@ JSON file) and prints either text or JSON.  Exit status is 0 on success
 and for ``--help``, 1 when an input or the command line fails to
 validate or stdout is closed before the output ends (with nothing on
 stderr), and 2 only when a verification finds a counterexample.
+
+``star``, ``mul`` and ``invert`` run with the cyclic collector paused
+while they read their operands, compute and write the result; the
+caller's collector state is restored when they return or fail.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -108,23 +113,32 @@ def _cmd_mobius(args) -> int:
     return 0
 
 
-def _cmd_star(args) -> int:
-    (f,) = _load_series(args, 1)
-    _emit_series(star(f), args.format)
+def _series_command(args, count: int, op) -> int:
+    """Read ``count`` operands, apply ``op`` and write the result, with the
+    cyclic collector paused throughout: the operands' terms hold no cycle,
+    so a collection would only rescan them.  The caller's collector state
+    is restored, also on error."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        _emit_series(op(*_load_series(args, count)), args.format)
+    finally:
+        if enabled:
+            gc.enable()
     return 0
+
+
+def _cmd_star(args) -> int:
+    return _series_command(args, 1, star)
 
 
 def _cmd_mul(args) -> int:
-    f, g = _load_series(args, 2)
-    _emit_series(cauchy_product(f, g), args.format)
-    return 0
+    return _series_command(args, 2, cauchy_product)
 
 
 def _cmd_invert(args) -> int:
-    (g,) = _load_series(args, 1)
-    invert = mobius_invert_left if args.side == "left" else mobius_invert_right
-    _emit_series(invert(g), args.format)
-    return 0
+    return _series_command(args, 1, mobius_invert_left if args.side == "left"
+                           else mobius_invert_right)
 
 
 def _cmd_hilbert(args) -> int:

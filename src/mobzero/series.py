@@ -297,7 +297,8 @@ def cauchy_product(f: Series, g: Series) -> Series:
     of f is grouped by the right seam key, and one of g by the left key,
     only when the other factor has an order that fits beside it; then
     :func:`_add_products` multiplies each such pair of orders into the
-    one accumulator.
+    one accumulator.  A product above the truncation breaks the grading
+    contract and raises :class:`AlgebraError`, as in :func:`star`.
     """
     _check_compatible(f, g)
     m = f.monoid
@@ -332,6 +333,10 @@ def cauchy_product(f: Series, g: Series) -> Series:
                 _add_products(m, acc, x_classes, ys)
     reduce, zero = ring.reduce, ring.zero
     terms = {w: v for w, c in acc.items() if (v := reduce(c)) != zero}
+    if terms and max(map(len, terms)) > cap:
+        raise AlgebraError(
+            f"order of {m.describe()} is not additive: a product of orders "
+            f"summing to at most {cap} is {m.render_word(max(terms, key=len))}")
     return Series(m, cap, terms, ring, _normalized=True)
 
 

@@ -1,13 +1,19 @@
 import decimal
+import gc
 import json
 import os
+import random
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
-from mobzero import FreeMonoid, Report
+import mobzero.cli as cli
+from mobzero import (FreeMonoid, ReesQuotient, Report, Series,
+                     characteristic_series, convolve_oracle, parse_monoid,
+                     series_to_json)
 from mobzero.cli import main
 
 STANDARD = ('{"type": "rees", "base": {"type": "free", '
@@ -561,3 +567,132 @@ def test_generated_ideal_checks_the_word_kind_before_any_letter(
     assert run(capsys, "mobius", "--monoid", monoid) == (1, "", (
         "error: generated ideal needs a monoid whose words are letter "
         f"sequences, got {described}\n"))
+
+
+def record_collector_state(monkeypatch, owner, name, seen):
+    """Wrap ``owner.name`` so that each call records, under ``name``,
+    whether the cyclic collector was enabled."""
+    original = getattr(owner, name)
+
+    def probe(*args, **kwargs):
+        seen[name] = gc.isenabled()
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, probe)
+
+
+@pytest.mark.parametrize("command, operands, name", [
+    ("star", 1, "star"), ("mul", 2, "cauchy_product"),
+    ("invert", 1, "mobius_invert_left")])
+def test_series_commands_compute_with_the_collector_paused(
+        tmp_path, capsys, monkeypatch, command, operands, name):
+    seen = {}
+    record_collector_state(monkeypatch, cli, name, seen)
+    f = write_series(tmp_path, "f.json", {
+        "truncation": 4, "terms": [["1", ["a"]]]})
+    argv = [command, "--monoid", FREE_AB, "--order", "4"]
+    assert run(capsys, *argv, *["--series", f] * operands)[0] == 0
+    assert seen == {name: False}
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("command, owner, name", [
+    ("hilbert", cli, "hilbert_prefix"), ("mobius", cli, "mobius_series"),
+    ("verify", cli, "check_unit_inverse"), ("count", ReesQuotient, "grades")])
+def test_other_commands_run_with_the_collector_on(
+        capsys, monkeypatch, command, owner, name):
+    seen = {}
+    record_collector_state(monkeypatch, owner, name, seen)
+    assert run(capsys, command, "--monoid", STANDARD, "--order", "3")[0] == 0
+    assert seen == {name: True}
+
+
+def test_series_commands_restore_the_callers_collector_state(
+        tmp_path, capsys):
+    proper = write_series(tmp_path, "f.json", {
+        "truncation": 4, "terms": [["1", ["a"]]]})
+    not_proper = write_series(tmp_path, "g.json", {
+        "truncation": 4, "terms": [["1", []], ["1", ["a"]]]})
+    missing = str(tmp_path / "missing.json")
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            for command, operand, code in (("star", proper, 0),
+                                           ("invert", missing, 1),
+                                           ("star", not_proper, 1)):
+                assert run(capsys, command, "--monoid", FREE_AB, "--order",
+                           "4", "--series", operand)[0] == code
+                assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+
+
+def test_invert_of_a_dense_operand_runs_no_collection(
+        tmp_path, capsys, monkeypatch):
+    # the zeta transform of 330 seeded terms over free {a, b, c}, built as
+    # the CI round trip builds it: some 9,600 terms to read, invert and
+    # write, during which no collection may run
+    monoid = {"type": "free", "alphabet": ["a", "b", "c"]}
+    m = parse_monoid(monoid)
+    rng = random.Random(1)
+    words = [w for grade in m.grades(5) for w in grade]
+    f = Series(m, 8, {w: rng.randint(-9, 9)
+                      for w in rng.sample(words, 330)})
+    g = convolve_oracle(characteristic_series(m, 8), f)
+    assert len(g.terms) > 9000
+    path = tmp_path / "g.json"
+    path.write_text(series_to_json(g))
+
+    # the window opens when the operands are read and closes once the
+    # result is written
+    inside, collections = [False], []
+    load, emit = cli._load_series, cli._emit_series
+
+    def loading(*args):
+        inside[0] = True
+        return load(*args)
+
+    def emitting(*args):
+        try:
+            return emit(*args)
+        finally:
+            inside[0] = False
+
+    def collected(phase, info):
+        if phase == "start" and inside[0]:
+            collections.append(info["generation"])
+
+    monkeypatch.setattr(cli, "_load_series", loading)
+    monkeypatch.setattr(cli, "_emit_series", emitting)
+    assert gc.isenabled()
+    gc.callbacks.append(collected)
+    try:
+        code, out, err = run(capsys, "invert", "--monoid", json.dumps(monoid),
+                             "--order", "8", "--format", "json",
+                             "--series", str(path))
+    finally:
+        gc.callbacks.remove(collected)
+    assert (code, err) == (0, "")
+    assert out == series_to_json(f) + "\n"
+    assert collections == []
+
+
+def test_a_paused_command_leaves_its_cycles_to_the_collector(
+        tmp_path, capsys, monkeypatch):
+    # a generated ideal is cyclic: its residue closes over the ideal and
+    # its automaton states refer to each other, so only the collector
+    # reclaims it once the command is done
+    parsed = []
+
+    def capture(description):
+        parsed.append(parse_monoid(description))
+        return parsed[-1]
+
+    monkeypatch.setattr(cli, "parse_monoid", capture)
+    f = write_series(tmp_path, "f.json", {
+        "truncation": 4, "terms": [["1", ["a"]], ["1", ["b"]]]})
+    assert run(capsys, "mul", "--monoid", GEN_AB, "--order", "4",
+               "--series", f, "--series", f) == (0, "aa + ba + bb\n", "")
+    ideal = weakref.ref(parsed.pop().ideal)
+    gc.collect()
+    assert ideal() is None

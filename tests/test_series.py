@@ -529,6 +529,16 @@ def test_star_refuses_a_strictly_superadditive_order():
         star(Series(m, 3, {(0,): 1}))
 
 
+def test_cauchy_product_refuses_a_product_above_the_truncation():
+    # a*a = aaa has order 3, above the truncation 2 that orders 1 + 1
+    # fit in; the product must fail as star does rather than return a
+    # term its truncation cannot hold
+    m = InsertingMonoid()
+    a = Series(m, 2, {(0,): 1})
+    with pytest.raises(AlgebraError, match="not additive.* is aaa"):
+        cauchy_product(a, a)
+
+
 def test_star_inverts_one_minus_f():
     rng = random.Random(23)
     for m in (standard_words(), free(2), commutative(2)):
