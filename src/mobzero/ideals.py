@@ -26,10 +26,10 @@ from functools import reduce
 from operator import getitem, itemgetter
 
 from .errors import SpecError
-from .monoid import Word, ZeroMonoid
+from .monoid import Word, ZeroMonoid, _Keyed
 
 
-class IdealSpec(ABC):
+class IdealSpec(_Keyed, ABC):
     """Membership predicate for a two-sided ideal of ``base``.
 
     ``contains`` answers every question a quotient asks its ideal.  It
@@ -74,12 +74,6 @@ class IdealSpec(ABC):
 
     def _key(self):
         return (self.kind, self.base)
-
-    def __eq__(self, other):
-        return isinstance(other, IdealSpec) and other._key() == self._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     def __repr__(self):
         return f"<{type(self).__name__} over {self.base.describe()}>"
@@ -183,7 +177,9 @@ class GeneratedIdeal(IdealSpec):
         # reach from the root; the left residue is the first m letters
         m = len(self.generators[-1]) - 1
         tail = itemgetter(slice(-m, None) if m else slice(0))
-        self.residue = lambda word: id(reduce(getitem, tail(word), self._root))
+        # a local, so that the residue holds no reference to the ideal
+        root = self._root
+        self.residue = lambda word: id(reduce(getitem, tail(word), root))
         self.left_residue = itemgetter(slice(m))
 
     def contains(self, word: Word) -> bool:

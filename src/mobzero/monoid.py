@@ -54,7 +54,21 @@ class Zero:
 ZERO = Zero()
 
 
-class Alphabet:
+class _Keyed:
+    """Equality by class and ``_key()``, so a subclass's instance never
+    equals its parent's, and the hash of the key: a class that inherits
+    it defines ``_key`` alone."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other._key() == self._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+class Alphabet(_Keyed):
     """Ordered list of distinct letter names; fixes all lexicographic orders."""
 
     def __init__(self, letters: Iterable[str]):
@@ -68,6 +82,11 @@ class Alphabet:
             if name[0] in "0123456789":
                 raise SpecError(
                     f"letter names must not begin with a digit, got {name!r}")
+            # "*" joins the letters of a word, "/" writes a fraction and
+            # whitespace separates the terms and elements of the text
+            if any(c in "*/" or c.isspace() for c in name):
+                raise SpecError("letter names must not contain whitespace, "
+                                f"'*' or '/', got {name!r}")
         if len(set(self.letters)) != len(self.letters):
             raise SpecError(f"alphabet letters must be distinct: {self.letters}")
         self._index = {name: i for i, name in enumerate(self.letters)}
@@ -93,11 +112,8 @@ class Alphabet:
     def __iter__(self):
         return iter(self.letters)
 
-    def __eq__(self, other):
-        return isinstance(other, Alphabet) and self.letters == other.letters
-
-    def __hash__(self):
-        return hash(self.letters)
+    def _key(self):
+        return self.letters
 
     def __repr__(self):
         return f"Alphabet({list(self.letters)})"
@@ -146,7 +162,7 @@ def _paired(outer, inner):
     return lambda word: (outer(word), inner(word))
 
 
-class ZeroMonoid(ABC):
+class ZeroMonoid(_Keyed, ABC):
     """A monoid with (possibly unreachable) zero, graded by its order function.
 
     The identity is the empty word and the order of a word is its length,
@@ -310,15 +326,9 @@ class ZeroMonoid(ABC):
         return self.alphabet().join(self.word_letters(word))
 
     def _key(self):
-        """What, beside the class, two equal realizations share; by
-        default only the instance itself."""
+        """What two equal realizations share (see :class:`_Keyed`); by
+        default the instance itself, which equals only itself."""
         return id(self)
-
-    def __eq__(self, other):
-        return type(other) is type(self) and other._key() == self._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
 
 class _ResidueMoves(dict):
@@ -360,8 +370,10 @@ class _FreeBase(ZeroMonoid):
         return self._alphabet
 
     def contains(self, word) -> bool:
+        """A tuple of letter indices that is its own normal form."""
         return (isinstance(word, tuple)
-                and all(isinstance(i, int) and 0 <= i < self._size for i in word))
+                and all(isinstance(i, int) and 0 <= i < self._size for i in word)
+                and self._element(word) == word)
 
     _seam_keys = None   # no product collapses
 
@@ -415,10 +427,6 @@ class FreeCommutativeMonoid(_FreeBase):
 
     word_kind = "multiset"
     name = "free commutative monoid"
-
-    def contains(self, word) -> bool:
-        return (super().contains(word)
-                and all(map(operator.le, word, word[1:])))
 
     def _mul(self, x, y):
         return tuple(sorted(x + y))

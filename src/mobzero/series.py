@@ -23,10 +23,10 @@ from fractions import Fraction
 
 from .errors import (AlgebraError, MembershipError, MonoidMismatchError,
                      ProperError)
-from .monoid import Report, ZERO, ZeroMonoid
+from .monoid import Report, ZERO, ZeroMonoid, _Keyed
 
 
-class Ring:
+class Ring(_Keyed):
     """Exact commutative ring with unit on ``int`` or ``Fraction`` values.
 
     A ring is its value type, its ``zero`` and ``one``, and ``reduce``,
@@ -65,12 +65,8 @@ class Ring:
     def __repr__(self):
         return self.name
 
-    def __eq__(self, other):
-        return (type(other) is type(self) and other.name == self.name
-                and other.value_type is self.value_type)
-
-    def __hash__(self):
-        return hash(self.name)
+    def _key(self):
+        return self.name, self.value_type
 
 
 class IntegerModRing(Ring):
@@ -92,7 +88,7 @@ INTEGERS = Ring("integers", int)
 RATIONALS = Ring("rationals", Fraction)
 
 
-class Series:
+class Series(_Keyed):
     """Element of the total contracted algebra, truncated at a fixed order.
 
     ``terms`` maps canonical words to nonzero ring values; keys of order
@@ -161,14 +157,12 @@ class Series:
     def __repr__(self):
         return f"<Series N={self.truncation} {self.render()}>"
 
-    # -- arithmetic: the algebra's ring operations ---------------------------
+    def _key(self):
+        return self.monoid, self.ring, self.truncation, self.terms
 
-    def __eq__(self, other):
-        return (isinstance(other, Series)
-                and other.monoid == self.monoid
-                and other.ring == self.ring
-                and other.truncation == self.truncation
-                and other.terms == self.terms)
+    __hash__ = None  # the terms are a mutable dict
+
+    # -- arithmetic: the algebra's ring operations ---------------------------
 
     def __add__(self, other):
         """Coefficientwise sum at the lower of the two truncations."""

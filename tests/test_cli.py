@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import mobzero.cli as cli
-from mobzero import (FreeMonoid, ReesQuotient, Report, Series,
+import mobzero.hilbert
+from mobzero import (FreeMonoid, GeneratedIdeal, ReesQuotient, Report, Series,
                      characteristic_series, convolve_oracle, parse_monoid,
                      series_to_json)
 from mobzero.cli import main
@@ -159,6 +160,15 @@ def test_digit_led_letter_name_exits_one_with_the_error_line(capsys):
                          '{"type": "free", "alphabet": ["1", "x"]}')
     assert (code, out) == (1, "")
     assert err == "error: letter names must not begin with a digit, got '1'\n"
+
+
+def test_letter_name_with_a_space_exits_one_with_the_error_line(capsys):
+    # read, count would list the two letters as "1\t2\ta b c"
+    code, out, err = run(capsys, "count", "--order", "1", "--monoid",
+                         '{"type": "free", "alphabet": ["a b", "c"]}')
+    assert (code, out) == (1, "")
+    assert err == ("error: letter names must not contain whitespace, "
+                   "'*' or '/', got 'a b'\n")
 
 
 def test_invert_one_gives_mobius(tmp_path, capsys):
@@ -385,6 +395,59 @@ def test_verify_failure_exits_two(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--monoid", FREE_AB, "--order", "3")
     assert code == 2
     assert "FAIL unit-inverse: forced failure" in out
+
+
+def test_verify_catches_a_wrong_mobius_series(capsys, monkeypatch):
+    closed_form = FreeMonoid._mobius_terms
+
+    def without_b(self, top):
+        terms = closed_form(self, top)
+        terms.pop((1,), None)
+        return terms
+
+    monkeypatch.setattr(FreeMonoid, "_mobius_terms", without_b)
+    failure = "mobius*zeta != 1 (at b: 1 != 0)"
+    argv = ["verify", "--monoid", FREE_AB, "--order", "3"]
+    assert run(capsys, *argv) == (
+        2, f"FAIL unit-inverse: {failure}\nPASS oracle-equivalence\n", "")
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 2
+    assert json.loads(out)["checks"][0] == {
+        "check": "unit-inverse", "pass": False, "counterexample": failure}
+
+
+def test_verify_catches_a_wrong_left_seam_key(capsys, monkeypatch):
+    # with one left key, the right factors of an order form one class,
+    # so one product decides collapse for all of them and cauchy_product
+    # parts from the oracle
+    init = GeneratedIdeal.__init__
+
+    def constant_left_residue(self, *args):
+        init(self, *args)
+        self.left_residue = lambda word: ()
+
+    monkeypatch.setattr(GeneratedIdeal, "__init__", constant_left_residue)
+    code, out, _ = run(capsys, "verify", "--monoid", GEN_AB, "--order", "6")
+    assert code == 2
+    assert ("FAIL oracle-equivalence: pair 1: products disagree "
+            "(at aabaa: -1 != 0)") in out.splitlines()
+
+
+def test_verify_catches_a_wrong_hilbert_count(capsys, monkeypatch):
+    counts = mobzero.hilbert.hilbert_prefix
+
+    def one_too_many_at_two(q, top):
+        out = list(counts(q, top))
+        out[2] += 1
+        return tuple(out)
+
+    monkeypatch.setattr(mobzero.hilbert, "hilbert_prefix", one_too_many_at_two)
+    code, out, _ = run(capsys, "verify", "--monoid", GEN_AB, "--order", "4")
+    assert code == 2
+    assert out.splitlines() == [
+        "PASS unit-inverse", "PASS oracle-equivalence", "PASS mobius-transfer",
+        "FAIL hilbert-relation: degree 2: 9 survivors + 1 in the ideal "
+        "!= 9 words"]
 
 
 def test_validation_failures_exit_one(capsys):
@@ -679,9 +742,8 @@ def test_invert_of_a_dense_operand_runs_no_collection(
 
 def test_a_paused_command_leaves_its_cycles_to_the_collector(
         tmp_path, capsys, monkeypatch):
-    # a generated ideal is cyclic: its residue closes over the ideal and
-    # its automaton states refer to each other, so only the collector
-    # reclaims it once the command is done
+    # once the command is done the ideal is freed, and the collector
+    # reclaims its automaton's states, which refer to each other
     parsed = []
 
     def capture(description):

@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,7 @@ from mobzero import (
     RepeatedLetterIdeal,
     SpecError,
     parse_ideal,
+    parse_monoid,
 )
 
 from helpers import (
@@ -212,6 +215,24 @@ def test_ideal_equality_and_hash():
     assert len({RepeatedLetterIdeal(base), RepeatedLetterIdeal(base)}) == 1
     assert RepeatedLetterIdeal(base) != MinLengthIdeal(base, 2)
     assert MinLengthIdeal(base, 2) != MinLengthIdeal(commutative(2), 2)
+
+
+def test_a_generated_ideal_is_freed_without_the_collector():
+    # its residue closes over the automaton's root, not over the ideal, so
+    # no cycle holds the ideal or its base; only the automaton's own
+    # states, which refer to each other, are left to the collector
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        m = parse_monoid({"type": "rees",
+                          "base": {"type": "free", "alphabet": ["a", "b", "c"]},
+                          "ideal": {"kind": "generated", "words": [["a", "b"]]}})
+        ideal, base = weakref.ref(m.ideal), weakref.ref(m.base)
+        del m
+        assert ideal() is None and base() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_validate_ideal_passes_builtins():

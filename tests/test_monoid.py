@@ -4,16 +4,20 @@ import random
 import pytest
 
 from mobzero import (
+    RATIONALS,
     Alphabet,
     FreeCommutativeMonoid,
     FreeMonoid,
     GeneratedIdeal,
     InfiniteGradeError,
+    IntegerModRing,
     MembershipError,
     MinLengthIdeal,
     ReesQuotient,
     Report,
     RepeatedLetterIdeal,
+    Ring,
+    Series,
     SpecError,
     ZERO,
     Zero,
@@ -69,6 +73,16 @@ def test_alphabet_rejects_a_name_that_begins_with_a_digit():
     with pytest.raises(SpecError) as info:
         Alphabet(["1", "x"])
     assert str(info.value) == "letter names must not begin with a digit, got '1'"
+
+
+@pytest.mark.parametrize("name", ["a b", "a*b", "/2x", "x\t", "\ny"])
+def test_alphabet_rejects_a_name_the_text_form_would_split(name):
+    # over ["a*b", "a", "b"] the letter a*b and the word a*b would print
+    # alike, and over ["/2x", "x"] so would 3 /2x and 3/2 x
+    with pytest.raises(SpecError) as info:
+        Alphabet(["x1", name])
+    assert str(info.value) == ("letter names must not contain whitespace, "
+                               f"'*' or '/', got {name!r}")
 
 
 # -- zero sentinel ----------------------------------------------------------
@@ -325,6 +339,32 @@ def test_builtins_equal_a_rebuild_and_differ_from_each_other():
 def test_same_alphabet_different_class_is_unequal():
     alpha = alphabet(2)
     assert FreeMonoid(alpha) != FreeCommutativeMonoid(alpha)
+
+
+@pytest.mark.parametrize("parent, make, other", [
+    (Alphabet, lambda cls: cls(["a", "b"]), Alphabet(["a", "c"])),
+    (FreeMonoid, lambda cls: cls(alphabet(2)), FreeMonoid(alphabet(3))),
+    (RepeatedLetterIdeal, lambda cls: cls(free(3)),
+     RepeatedLetterIdeal(free(2))),
+    # INTEGERS and RATIONALS
+    (Ring, lambda cls: cls("integers", int), RATIONALS),
+    (IntegerModRing, lambda cls: cls(7), IntegerModRing(5)),
+    (Series, lambda cls: cls(free(2), 2, {(0,): 1}),
+     Series(free(2), 3, {(0,): 1})),
+], ids=["alphabet", "monoid", "ideal", "ring", "ring-mod", "series"])
+def test_values_are_equal_by_class_and_key(parent, make, other):
+    value, again = make(parent), make(parent)
+    assert value == again and not value != again
+    assert value != other and other != value
+    # an instance of a subclass never equals its parent's, whatever its key
+    child = make(type("Child", (parent,), {"__slots__": ()}))
+    assert child._key() == value._key()
+    assert child != value and value != child
+    if parent is Series:
+        with pytest.raises(TypeError):
+            hash(value)
+    else:
+        assert hash(value) == hash(again)
 
 
 # -- algebraic laws, sampled and small-exhaustive ---------------------------

@@ -185,6 +185,9 @@ def test_parse_ideal_errors():
         parse_ideal({"kind": "generated", "words": [["z"]]}, base)
     with pytest.raises(SpecError):
         parse_ideal({"kind": "degree-at-least", "d": 2}, base)
+    with pytest.raises(SpecError,
+                       match="^generator list must be a list, got 'ab'$"):
+        parse_ideal({"kind": "generated", "words": "ab"}, base)
 
 
 def unknown_field(what, name, obj):
@@ -290,6 +293,9 @@ def test_parse_series_rejects_bad_terms():
         parse_series({"truncation": 2, "terms": [["x", ["a"]]]}, m)
     with pytest.raises(SpecError):
         parse_series({"truncation": 2, "terms": [["1"]]}, m)
+    with pytest.raises(SpecError,
+                       match=r"^series terms must be a list, got \{\}$"):
+        parse_series({"truncation": 2, "terms": {}}, m)
     with pytest.raises(SpecError):
         # beyond the stated truncation
         parse_series(
