@@ -9,6 +9,10 @@ stderr), and 2 only when a verification finds a counterexample.
 ``star``, ``mul`` and ``invert`` run with the cyclic collector paused
 while they read their operands, compute and write the result; the
 caller's collector state is restored when they return or fail.
+
+The layers a command needs are read as module attributes when it runs,
+so a process executes only those (see the package docstring): ``count``
+and ``hilbert --format json`` never execute ``series``.
 """
 
 from __future__ import annotations
@@ -19,21 +23,9 @@ import json
 import os
 import sys
 
+from . import hilbert, quotient_maps, series, specio
 from .errors import AlgebraError
-from .hilbert import check_hilbert_relation, hilbert_prefix, poly_text
 from .monoid import FreeMonoid, ReesQuotient
-from .quotient_maps import check_mobius_transfer
-from .series import (
-    Series,
-    cauchy_product,
-    check_oracle_equivalence,
-    check_unit_inverse,
-    mobius_invert_left,
-    mobius_invert_right,
-    mobius_series,
-    star,
-)
-from .specio import parse_series, read_json_source, parse_monoid, series_to_json
 
 DEFAULT_TRUNCATION = 8
 
@@ -80,8 +72,9 @@ def _load_series(args, count: int) -> list:
         raise AlgebraError(
             f"{args.command} needs exactly {count} --series operand"
             f"{'s' if count != 1 else ''}, got {len(args.series)}")
-    return [parse_series(read_json_source(source), args.parsed_monoid,
-                         expected_truncation=args.order)
+    return [specio.parse_series(specio.read_json_source(source),
+                                args.parsed_monoid,
+                                expected_truncation=args.order)
             for source in args.series]
 
 
@@ -105,11 +98,13 @@ def _exact_text(write, value) -> str:
 
 
 def _emit_series(f, fmt: str):
-    print(_exact_text(series_to_json if fmt == "json" else Series.render, f))
+    print(_exact_text(specio.series_to_json if fmt == "json"
+                      else series.Series.render, f))
 
 
 def _cmd_mobius(args) -> int:
-    _emit_series(mobius_series(args.parsed_monoid, args.order), args.format)
+    _emit_series(series.mobius_series(args.parsed_monoid, args.order),
+                 args.format)
     return 0
 
 
@@ -129,22 +124,23 @@ def _series_command(args, count: int, op) -> int:
 
 
 def _cmd_star(args) -> int:
-    return _series_command(args, 1, star)
+    return _series_command(args, 1, series.star)
 
 
 def _cmd_mul(args) -> int:
-    return _series_command(args, 2, cauchy_product)
+    return _series_command(args, 2, series.cauchy_product)
 
 
 def _cmd_invert(args) -> int:
-    return _series_command(args, 1, mobius_invert_left if args.side == "left"
-                           else mobius_invert_right)
+    return _series_command(args, 1, series.mobius_invert_left
+                           if args.side == "left"
+                           else series.mobius_invert_right)
 
 
 def _cmd_hilbert(args) -> int:
-    counts = hilbert_prefix(args.parsed_monoid, args.order)
+    counts = hilbert.hilbert_prefix(args.parsed_monoid, args.order)
     print(_exact_text(json.dumps, {"counts": list(counts)})
-          if args.format == "json" else _exact_text(poly_text, counts))
+          if args.format == "json" else _exact_text(hilbert.poly_text, counts))
     return 0
 
 
@@ -165,12 +161,12 @@ def _cmd_count(args) -> int:
 
 def _cmd_verify(args) -> int:
     m, n = args.parsed_monoid, args.order
-    reports = [check_unit_inverse(m, n),
-               check_oracle_equivalence(m, min(n, 6))]
+    reports = [series.check_unit_inverse(m, n),
+               series.check_oracle_equivalence(m, min(n, 6))]
     if isinstance(m, ReesQuotient):
-        reports.append(check_mobius_transfer(m, n))
+        reports.append(quotient_maps.check_mobius_transfer(m, n))
         if isinstance(m.base, FreeMonoid):
-            reports.append(check_hilbert_relation(m, n))
+            reports.append(hilbert.check_hilbert_relation(m, n))
     ok = all(r.passed for r in reports)
     if args.format == "json":
         print(json.dumps({"checks": [r.to_json() for r in reports],
@@ -198,7 +194,8 @@ def main(argv=None) -> int:
     try:
         if args.order < 0:
             raise ValueError(f"order must be nonnegative, got {args.order}")
-        args.parsed_monoid = parse_monoid(read_json_source(args.monoid))
+        args.parsed_monoid = specio.parse_monoid(
+            specio.read_json_source(args.monoid))
         status = args.run(args)
         sys.stdout.flush()
         return status

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import itertools
 
+# series is read at call time: the counts need no series arithmetic
+from . import series
 from .errors import SpecError
 from .monoid import FreeMonoid, ReesQuotient, Report, ZeroMonoid, _ResidueMoves
-from .series import signed_sum
 
 
 def hilbert_prefix(m: ZeroMonoid, top: int) -> tuple:
@@ -79,5 +80,6 @@ def check_hilbert_relation(q: ReesQuotient, top: int) -> Report:
 
 def poly_text(coeffs) -> str:
     """Render integer-like coefficients as a polynomial in t."""
-    return signed_sum((c, "" if n == 0 else "t" if n == 1 else f"t^{n}")
-                      for n, c in enumerate(coeffs) if c != 0)
+    return series.signed_sum(
+        (c, "" if n == 0 else "t" if n == 1 else f"t^{n}")
+        for n, c in enumerate(coeffs) if c != 0)

@@ -82,6 +82,11 @@ class Alphabet(_Keyed):
             if name[0] in "0123456789":
                 raise SpecError(
                     f"letter names must not begin with a digit, got {name!r}")
+            # a term's sign is written before its word: 1 times "-x" and
+            # -1 times "x" would both be "-x"
+            if name[0] in "+-":
+                raise SpecError(
+                    f"letter names must not begin with '-' or '+', got {name!r}")
             # "*" joins the letters of a word, "/" writes a fraction and
             # whitespace separates the terms and elements of the text
             if any(c in "*/" or c.isspace() for c in name):

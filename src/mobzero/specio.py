@@ -40,17 +40,11 @@ from __future__ import annotations
 import json
 import math
 import re
-from fractions import Fraction
 
+# ideals and series are read at call time: a free base needs no ideal,
+# and a monoid alone no series
+from . import ideals, series
 from .errors import SpecError
-from .ideals import (
-    GeneratedIdeal,
-    IdealSpec,
-    MinLengthIdeal,
-    RepeatedLetterIdeal,
-    _require_integer_bound,
-    _require_word_kind,
-)
 from .monoid import (
     Alphabet,
     FreeCommutativeMonoid,
@@ -58,7 +52,6 @@ from .monoid import (
     ReesQuotient,
     ZeroMonoid,
 )
-from .series import INTEGERS, Ring, Series
 
 _DECIMAL = re.compile(r"-?[0-9]+")
 _FRACTION = re.compile(r"(-?[0-9]+)/([0-9]+)")
@@ -143,11 +136,11 @@ def parse_monoid(obj: dict) -> ZeroMonoid:
     raise SpecError(f"unknown monoid type {kind!r}")
 
 
-def parse_ideal(obj: dict, base: ZeroMonoid) -> IdealSpec:
+def parse_ideal(obj: dict, base: ZeroMonoid) -> ideals.IdealSpec:
     kind = _field(obj, "kind", "ideal")
     what = f"{kind} ideal"
     if kind == "repeated-letter":
-        return _only(obj, what, RepeatedLetterIdeal(base), "kind")
+        return _only(obj, what, ideals.RepeatedLetterIdeal(base), "kind")
     if kind in ("min-length", "degree-at-least"):
         # one ideal, the words of order at least n, spelled for the base's
         # word kind; a bound that is not an integer is reported before a
@@ -155,16 +148,16 @@ def parse_ideal(obj: dict, base: ZeroMonoid) -> IdealSpec:
         word_kind, name = (("sequence", "n") if kind == "min-length"
                            else ("multiset", "d"))
         n = _field(obj, name, what)
-        _require_integer_bound(n, word_kind)
-        _require_word_kind(base, kind, word_kind)
-        return _only(obj, what, MinLengthIdeal(base, n), "kind", name)
+        ideals._require_integer_bound(n, word_kind)
+        ideals._require_word_kind(base, kind, word_kind)
+        return _only(obj, what, ideals.MinLengthIdeal(base, n), "kind", name)
     if kind == "generated":
         raw = _field(obj, "words", what)
         if not isinstance(raw, list):
             raise SpecError(f"generator list must be a list, got {raw!r}")
         # spelled lazily, so that GeneratedIdeal checks the base's word
         # kind before any letter is looked up
-        ideal = GeneratedIdeal(
+        ideal = ideals.GeneratedIdeal(
             base, (base.word_from_letters(_letters(entry, "a generator"))
                    for entry in raw))
         return _only(obj, what, ideal, "kind", "words")
@@ -173,13 +166,18 @@ def parse_ideal(obj: dict, base: ZeroMonoid) -> IdealSpec:
         # pullback along the letter counts is min-length(d)
         inner_obj = _field(obj, "inner", what)
         inner = parse_ideal(inner_obj, FreeCommutativeMonoid(base.alphabet()))
-        _require_word_kind(base, kind)
-        return _only(obj, what, MinLengthIdeal(base, inner.n), "kind", "inner")
+        ideals._require_word_kind(base, kind)
+        return _only(obj, what, ideals.MinLengthIdeal(base, inner.n),
+                     "kind", "inner")
     raise SpecError(f"unknown ideal kind {kind!r}")
 
 
-def parse_series(obj: dict, monoid: ZeroMonoid, ring: Ring = INTEGERS,
-                 expected_truncation: int = None) -> Series:
+def parse_series(obj: dict, monoid: ZeroMonoid, ring: series.Ring = None,
+                 expected_truncation: int = None) -> series.Series:
+    """The series ``obj`` describes, over ``ring``, the integers by
+    default."""
+    if ring is None:
+        ring = series.INTEGERS
     truncation = _field(obj, "truncation", "series")
     if not _is_integer(truncation) or truncation < 0:
         raise SpecError(
@@ -229,8 +227,8 @@ def parse_series(obj: dict, monoid: ZeroMonoid, ring: Ring = INTEGERS,
             zeros.append(word)
     for word in zeros:
         del terms[word]
-    return _only(obj, "series", Series(monoid, truncation, terms, ring,
-                                       _normalized=True),
+    return _only(obj, "series", series.Series(monoid, truncation, terms,
+                                              ring, _normalized=True),
                  "truncation", "terms")
 
 
@@ -241,12 +239,14 @@ def _wire_int(text: str) -> int:
         raise SpecError(f"coefficient is too long: {exc}") from None
 
 
-def _parse_coefficient(text, ring: Ring):
+def _parse_coefficient(text, ring: series.Ring):
     """A wire coefficient as a value of the ring: a decimal string, or
     over the rationals also a fraction in lowest terms."""
     if isinstance(text, str) and _DECIMAL.fullmatch(text):
         return ring.from_int(_wire_int(text))
-    rational = ring.value_type is Fraction
+    # Ring admits only int and Fraction values, so a ring not on int is
+    # over the rationals
+    rational = ring.value_type is not int
     fraction = rational and isinstance(text, str) and _FRACTION.fullmatch(text)
     if not fraction:
         what = "a decimal or fraction string" if rational else "a decimal string"
@@ -256,10 +256,10 @@ def _parse_coefficient(text, ring: Ring):
         raise SpecError(
             f"fraction coefficient must be in lowest terms with a "
             f"denominator of at least 2, got {text!r}")
-    return Fraction(numerator, denominator)
+    return ring.value_type(numerator, denominator)
 
 
-def series_to_json(f: Series) -> str:
+def series_to_json(f: series.Series) -> str:
     """The JSON text of a series, in one pass over its sorted terms.
 
     It is byte for byte ``json.dumps`` of ``{"truncation": N, "terms":

@@ -12,6 +12,8 @@ import pytest
 
 import mobzero.cli as cli
 import mobzero.hilbert
+import mobzero.series
+import mobzero.specio
 from mobzero import (FreeMonoid, GeneratedIdeal, ReesQuotient, Report, Series,
                      characteristic_series, convolve_oracle, parse_monoid,
                      series_to_json)
@@ -160,6 +162,15 @@ def test_digit_led_letter_name_exits_one_with_the_error_line(capsys):
                          '{"type": "free", "alphabet": ["1", "x"]}')
     assert (code, out) == (1, "")
     assert err == "error: letter names must not begin with a digit, got '1'\n"
+
+
+def test_sign_led_letter_name_exits_one_with_the_error_line(capsys):
+    # read, the Mobius series of the free monoid on -x and x would be
+    # written "1 - -x - x"
+    code, out, err = run(capsys, "mobius", "--order", "2", "--monoid",
+                         '{"type": "free", "alphabet": ["-x", "x"]}')
+    assert (code, out) == (1, "")
+    assert err == "error: letter names must not begin with '-' or '+', got '-x'\n"
 
 
 def test_letter_name_with_a_space_exits_one_with_the_error_line(capsys):
@@ -387,10 +398,8 @@ def test_verify_catches_a_wrong_closed_form(capsys, monkeypatch):
 
 
 def test_verify_failure_exits_two(capsys, monkeypatch):
-    import mobzero.cli as cli_mod
-
     monkeypatch.setattr(
-        cli_mod, "check_unit_inverse",
+        mobzero.series, "check_unit_inverse",
         lambda m, n: Report("unit-inverse", ("forced failure",)))
     code, out, _ = run(capsys, "verify", "--monoid", FREE_AB, "--order", "3")
     assert code == 2
@@ -650,7 +659,7 @@ def record_collector_state(monkeypatch, owner, name, seen):
 def test_series_commands_compute_with_the_collector_paused(
         tmp_path, capsys, monkeypatch, command, operands, name):
     seen = {}
-    record_collector_state(monkeypatch, cli, name, seen)
+    record_collector_state(monkeypatch, mobzero.series, name, seen)
     f = write_series(tmp_path, "f.json", {
         "truncation": 4, "terms": [["1", ["a"]]]})
     argv = [command, "--monoid", FREE_AB, "--order", "4"]
@@ -660,8 +669,10 @@ def test_series_commands_compute_with_the_collector_paused(
 
 
 @pytest.mark.parametrize("command, owner, name", [
-    ("hilbert", cli, "hilbert_prefix"), ("mobius", cli, "mobius_series"),
-    ("verify", cli, "check_unit_inverse"), ("count", ReesQuotient, "grades")])
+    ("hilbert", mobzero.hilbert, "hilbert_prefix"),
+    ("mobius", mobzero.series, "mobius_series"),
+    ("verify", mobzero.series, "check_unit_inverse"),
+    ("count", ReesQuotient, "grades")])
 def test_other_commands_run_with_the_collector_on(
         capsys, monkeypatch, command, owner, name):
     seen = {}
@@ -750,7 +761,7 @@ def test_a_paused_command_leaves_its_cycles_to_the_collector(
         parsed.append(parse_monoid(description))
         return parsed[-1]
 
-    monkeypatch.setattr(cli, "parse_monoid", capture)
+    monkeypatch.setattr(mobzero.specio, "parse_monoid", capture)
     f = write_series(tmp_path, "f.json", {
         "truncation": 4, "terms": [["1", ["a"]], ["1", ["b"]]]})
     assert run(capsys, "mul", "--monoid", GEN_AB, "--order", "4",

@@ -1,14 +1,17 @@
 """Every name a library module imports is used in that module, every
-name the package exports has a reader outside the tests, no file but
-the benchmark's tracer reads the monoid's order hook, and the CLI
-starts without the standard library's introspection modules.
+name the package exports resolves to its definition and has a reader
+outside the tests, no file but the benchmark's tracer reads the
+monoid's order hook, the CLI starts without the standard library's
+introspection modules, and each command executes only the submodules
+it uses.
 
-The package's ``__init__.py`` imports names to export them, so it is
+The package's ``__init__.py`` serves its exports from a table, so it is
 left out of the unused-import scan; every other module of
 ``src/mobzero`` is scanned with ``ast``.
 """
 
 import ast
+import importlib
 import json
 import os
 import re
@@ -17,6 +20,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import mobzero
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCE = ROOT / "src" / "mobzero"
@@ -60,10 +65,23 @@ AWAITING_A_READER = {
 
 
 def exported_names() -> list:
-    """The names the package's ``__init__.py`` imports."""
-    tree = ast.parse((SOURCE / "__init__.py").read_text(encoding="utf-8"))
-    return sorted(alias.asname or alias.name for node in tree.body
-                  if isinstance(node, ast.ImportFrom) for alias in node.names)
+    """The names in the package's export table."""
+    return sorted(mobzero._EXPORTS)
+
+
+def test_every_export_resolves_to_the_object_its_module_defines():
+    for name, module in mobzero._EXPORTS.items():
+        qualified = f"mobzero.{module}"
+        value = getattr(mobzero, name)
+        assert value is vars(importlib.import_module(qualified))[name], name
+        # defined there, not imported from another module (Word is tuple)
+        assert getattr(value, "__module__", qualified) in (
+            qualified, "builtins"), name
+
+
+def test_an_unknown_name_is_not_an_attribute_of_the_package():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        mobzero.no_such_name
 
 
 def names_read(path: Path) -> set:
@@ -147,3 +165,52 @@ def test_the_cli_imports_no_introspection_module():
     loaded = json.loads(out)
     assert "mobzero.cli" in loaded
     assert [name for name in HEAVY if name in loaded] == []
+
+
+# what each command executes: a submodule is executed once it is an
+# ordinary module, not the LazyLoader's placeholder
+EXECUTED_BY_CLI = """
+import contextlib, io, json, sys, types
+before = set(sys.modules)
+import mobzero.cli
+argv = json.loads(sys.argv[1])
+if argv:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert mobzero.cli.main(argv) == 0
+print(json.dumps({
+    "executed": sorted(name for name, module in sys.modules.items()
+                       if name.startswith("mobzero.")
+                       and type(module) is types.ModuleType),
+    "registered": sorted(name for name in sys.modules
+                         if name.startswith("mobzero.")),
+    "loaded": sorted(set(sys.modules) - before)}))
+"""
+
+FREE_ABC = {"type": "free", "alphabet": ["a", "b", "c"]}
+GEN_AB = {"type": "rees", "base": FREE_ABC,
+          "ideal": {"kind": "generated", "words": [["a", "b"]]}}
+
+
+def command(name, monoid):
+    return [name, "--format", "json", "--order", "4",
+            "--monoid", json.dumps(monoid)]
+
+
+@pytest.mark.parametrize("argv, unexecuted, unloaded", [
+    ([], ("series", "ideals", "hilbert", "quotient_maps"), ()),
+    (command("hilbert", GEN_AB), ("series", "quotient_maps"), ("fractions",)),
+    (command("count", GEN_AB), ("series", "quotient_maps"), ("fractions",)),
+    (command("mobius", FREE_ABC), ("ideals", "hilbert", "quotient_maps"), ()),
+], ids=["import", "hilbert", "count", "mobius"])
+def test_a_command_executes_only_the_modules_it_uses(
+        argv, unexecuted, unloaded):
+    env = dict(os.environ, PYTHONPATH=str(SOURCE.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", EXECUTED_BY_CLI, json.dumps(argv)], env=env,
+        capture_output=True, text=True, check=True).stdout
+    seen = json.loads(out)
+    names = [f"mobzero.{name}" for name in unexecuted]
+    # registered, so that the benchmark's tracer finds them, but not run
+    assert set(names) <= set(seen["registered"])
+    assert [name for name in names if name in seen["executed"]] == []
+    assert [name for name in unloaded if name in seen["loaded"]] == []

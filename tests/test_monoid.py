@@ -75,6 +75,16 @@ def test_alphabet_rejects_a_name_that_begins_with_a_digit():
     assert str(info.value) == "letter names must not begin with a digit, got '1'"
 
 
+@pytest.mark.parametrize("name", ["-x", "+x"], ids=["minus", "plus"])
+def test_alphabet_rejects_a_name_that_begins_with_a_sign(name):
+    # over ["-x", "x"] both 1 times -x and -1 times x would be written
+    # "-x", and over ["+x", "x"] the sum of the letters "+x + x"
+    with pytest.raises(SpecError) as info:
+        Alphabet(["x", name])
+    assert str(info.value) == (
+        f"letter names must not begin with '-' or '+', got {name!r}")
+
+
 @pytest.mark.parametrize("name", ["a b", "a*b", "/2x", "x\t", "\ny"])
 def test_alphabet_rejects_a_name_the_text_form_would_split(name):
     # over ["a*b", "a", "b"] the letter a*b and the word a*b would print
